@@ -3,7 +3,7 @@ nonlinear Schroedinger equation with a uniform-field (Stark) potential.
 
 Core layers:
 
-* spectral: periodic grids, fields, FFT derivatives, norms.
+* spectral: periodic grids, fields, unitary FFTs, the Laplacian, norms.
 * ground_state: solitary profiles via Petviashvili iteration, thresholds.
 * gauge: accelerated-frame transforms and the pseudo-conformal profile.
 * propagator: Strang split-step evolution with adaptive collapse stepping.

@@ -11,7 +11,9 @@ The solver is a Petviashvili (spectral renormalization) fixed point
     gamma   = p / (p - 1),
 
 which has S_m -> 1 at the solution; the stabilizing power gamma removes the
-scaling degeneracy of the bare map.
+scaling degeneracy of the bare map. The iterate is real, so each iteration
+costs three real transforms on the half spectrum: Q_m^p forward, and Q_{m+1}
+and its spectral Laplacian (for the residual) back.
 """
 
 from __future__ import annotations
@@ -72,13 +74,15 @@ class GroundState:
         return float(np.sqrt(self.mass_sq))
 
 
-def _recenter_peak(q: np.ndarray) -> np.ndarray:
-    """Roll the array so the maximum sits at index N/2 per axis."""
+def _recenter_peak(q: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Roll the array so the maximum sits at index N/2 per axis; also report
+    whether it moved."""
     peak = np.unravel_index(np.argmax(q), q.shape)
     shifts = [s // 2 - p for s, p in zip(q.shape, peak)]
-    if any(shifts):
+    rolled = any(shifts)
+    if rolled:
         q = np.roll(q, shifts, axis=tuple(range(q.ndim)))
-    return q
+    return q, rolled
 
 
 def petviashvili(
@@ -120,34 +124,41 @@ def petviashvili(
 
     p = 1.0 + 4.0 / n
     gamma = p / (p - 1.0)
-    ksq = grid.k_sq
+    # the iterate is real: work on the rfftn half spectrum (last axis N//2+1)
+    shape = grid.shape
+    axes = tuple(range(n))
+    ksq = np.ascontiguousarray(grid.k_sq[..., : shape[-1] // 2 + 1])
     inv_helmholtz = 1.0 / (1.0 + ksq)
-    vol = grid.cell_volume
+    num_weight = grid.rfft_weights * (1.0 + ksq)
 
     # the spectral residual cannot fall below the round-off floor of the
     # Laplacian evaluation, eps * k_max^2; accept the larger target
     resid_target = max(10.0 * tol, 4.0 * np.finfo(float).eps * (1.0 + ksq.max()))
 
+    def inverse(qh):
+        return np.fft.irfftn(qh, s=shape, axes=axes, norm="ortho")
+
+    # qh and qp always belong to the current iterate q: the spectrum of
+    # q_new is in hand before its inverse transform, and the residual's q^p
+    # is the next iteration's
     q = np.exp(-grid.radius_sq / (2.0 * seed_width**2))
+    qh = np.fft.rfftn(q, norm="ortho")
+    qp = q**p
     residual = np.inf
     for m in range(1, max_iter + 1):
-        qh = np.fft.fftn(q, norm="ortho")
-        num = np.sum((1.0 + ksq) * np.abs(qh) ** 2)
-        qp = q**p
+        num = np.sum(num_weight * (qh.real**2 + qh.imag**2))
         den = np.sum(q * qp)
         if not den > 0:
             raise DegenerateSeedError("iteration collapsed to the zero field")
         stab = num / den
-        q_new = np.fft.ifftn(
-            stab**gamma * np.fft.fftn(qp, norm="ortho") * inv_helmholtz,
-            norm="ortho",
-        ).real
-        q_new = _recenter_peak(q_new)
+        qh_new = stab**gamma * np.fft.rfftn(qp, norm="ortho") * inv_helmholtz
+        q_new, rolled = _recenter_peak(inverse(qh_new))
+        if rolled:
+            qh_new = np.fft.rfftn(q_new, norm="ortho")
         change = float(np.max(np.abs(q_new - q)))
-        q = q_new
-        qh = np.fft.fftn(q, norm="ortho")
-        lap_q = np.fft.ifftn(-ksq * qh, norm="ortho").real
-        residual = float(np.max(np.abs(lap_q - q + q**p)))
+        q, qh = q_new, qh_new
+        qp = q**p
+        residual = float(np.max(np.abs(inverse(-ksq * qh) - q + qp)))
         if change < tol and residual < resid_target:
             break
     else:
@@ -165,7 +176,8 @@ def petviashvili(
     q = np.maximum(q, np.finfo(float).tiny)
     field = Field(grid, q.astype(np.complex128))
     mass_sq = l2_norm_sq(field)
-    grad_sq = float(np.sum(ksq * np.abs(qh) ** 2) * vol)
+    power = qh.real**2 + qh.imag**2
+    grad_sq = float(np.sum(grid.rfft_weights * ksq * power) * grid.cell_volume)
     return GroundState(
         profile=field,
         mass_sq=mass_sq,

@@ -71,6 +71,13 @@ class StepController:
             raise ValueError("spectral_fill_max must lie in (0, 1)")
         if not self.dt0 > 0:
             raise ValueError("dt0 must be positive")
+        # nan would silently disable the step bound or the blow-up stop
+        if not (self.cfl_const > 0 and np.isfinite(self.cfl_const)):
+            raise ValueError(f"cfl must be positive and finite, got {self.cfl_const}")
+        if not (self.grad_stop > 0 and np.isfinite(self.grad_stop)):
+            raise ValueError(
+                f"grad_stop must be positive and finite, got {self.grad_stop}"
+            )
 
 
 @dataclass(frozen=True)
@@ -314,22 +321,6 @@ _BOUNDARY_SEAM_LIMIT = 1e-8   # direct-backend seam contamination threshold
 _BOUNDARY_SOFT_LIMIT = 1e-10  # general interior-support advisory
 
 
-def _physical_grad_sq(state_t, backend, params, mass_sq, grad_sq, mom):
-    """|grad u|^2 of the physical solution from stored-field functionals.
-
-    In the accelerated frame, grad u picks up the drift term -i t E u, so
-    |grad u|^2 = |grad phi|^2 - 2 t E.P(phi) + t^2 |E|^2 |phi|^2 exactly.
-    """
-    if backend is not Backend.GAUGE_FRAME or params.E_norm == 0.0:
-        return grad_sq
-    E = np.asarray(params.E)
-    return (
-        grad_sq
-        - 2.0 * state_t * float(np.dot(E, mom))
-        + state_t**2 * params.E_norm**2 * mass_sq
-    )
-
-
 def evolve(
     s: SimState,
     t_end: float,
@@ -364,18 +355,33 @@ def evolve(
     mass_sq = float(np.sum(spec_power) * grid.cell_volume)
     grad_sq = float(np.sum(grid.k_sq * spec_power) * grid.cell_volume)
 
-    def stored_momentum(power):
-        return tuple(
+    gauge_drift = s.backend is Backend.GAUGE_FRAME and s.params.E_norm > 0
+    E = np.asarray(s.params.E)
+
+    def physical_grad_sq(power):
+        """|grad u|^2 of the physical field from stored-field functionals.
+
+        In the accelerated frame (GAUGE_FRAME with E != 0), grad u picks up
+        the drift term -i t E u, so |grad u|^2 = |grad phi|^2
+        - 2 t E.P(phi) + t^2 |E|^2 |phi|^2 exactly; only then is the
+        momentum P(phi) needed.
+        """
+        if not gauge_drift:
+            return max(grad_sq, 0.0)
+        mom = tuple(
             float(np.sum(kg * power) * grid.cell_volume)
             for kg in grid.wavenumber_grids
         )
+        g_sq = (
+            grad_sq
+            - 2.0 * t * float(np.dot(E, mom))
+            + t**2 * s.params.E_norm**2 * mass_sq
+        )
+        return max(g_sq, 0.0)
 
-    def record(power, final=False):
+    def record(power, g_sq_phys, final=False):
         nonlocal last_snap_g
-        state = SimState(t=t, field=Field(grid, data.copy()), params=s.params,
-                         backend=s.backend, step_count=s.step_count + steps)
-        g_phys = np.sqrt(max(_physical_grad_sq(
-            t, s.backend, s.params, mass_sq, grad_sq, stored_momentum(power)), 0.0))
+        g_phys = np.sqrt(g_sq_phys)
         due_sample = final or steps % hooks.sample_every_steps == 0
         due_snap = False
         if hooks.snapshots_enabled:
@@ -390,6 +396,8 @@ def evolve(
                 due_snap = True
         if not (due_sample or due_snap):
             return
+        state = SimState(t=t, field=Field(grid, data.copy()), params=s.params,
+                         backend=s.backend, step_count=s.step_count + steps)
         u_phys = state.observed_field()
         if due_sample:
             traj.samples.append(diagnostics.sample(u_phys, t, s.params))
@@ -411,10 +419,7 @@ def evolve(
         if not np.isfinite(mass_sq) or not np.isfinite(grad_sq):
             traj.stop_reason = StopReason.DIVERGED
             break
-        mom = stored_momentum(spec_power)
-        g_sq_phys = max(
-            _physical_grad_sq(t, s.backend, s.params, mass_sq, grad_sq, mom), 0.0
-        )
+        g_sq_phys = physical_grad_sq(spec_power)
         if np.sqrt(g_sq_phys) > ctrl.grad_stop:
             traj.stop_reason = StopReason.GRAD_THRESHOLD
             break
@@ -433,13 +438,13 @@ def evolve(
             traj.stop_reason = StopReason.DT_UNDERFLOW
             break
 
-        record(spec_power)
+        record(spec_power, g_sq_phys)
         data, mass_sq, grad_sq, spec_power = stepper.advance(data, dt)
         t += dt
         steps += 1
         dt_used = dt
 
-    record(spec_power, final=True)
+    record(spec_power, physical_grad_sq(spec_power), final=True)
     final_state = SimState(
         t=t,
         field=Field(grid, data),

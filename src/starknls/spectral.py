@@ -111,6 +111,16 @@ class GridSpec:
         return ksq
 
     @cached_property
+    def rfft_weights(self) -> np.ndarray:
+        """Weights along the last axis of the rfftn half spectrum (N//2 + 1
+        modes) that turn a sum over it into the full-spectrum sum for a real
+        field: 2 where a mode stands for itself and its conjugate partner,
+        1 on the k = 0 and Nyquist planes, which have no partner."""
+        weights = np.full(self.shape[-1] // 2 + 1, 2.0)
+        weights[0] = weights[-1] = 1.0
+        return weights
+
+    @cached_property
     def radius_sq(self) -> np.ndarray:
         """|x|^2 on the full coordinate grid."""
         rsq = np.zeros(self.shape)
@@ -211,6 +221,8 @@ class PhysParams:
             raise ValueError(f"damping coefficient must be >= 0, got {self.a}")
         E = self.E if len(self.E) else (0.0,) * self.n
         object.__setattr__(self, "E", _as_tuple(E, self.n, float))
+        if not all(np.isfinite(e) for e in self.E):
+            raise ValueError(f"field vector E must be finite, got {self.E}")
         p = self.p if self.p is not None else 1.0 + 4.0 / self.n
         if not p > 1.0:
             raise ValueError(f"nonlinearity exponent must exceed 1, got {p}")
@@ -228,7 +240,7 @@ class PhysParams:
 
 
 # ---------------------------------------------------------------------------
-# Transforms and derivatives
+# Transforms
 # ---------------------------------------------------------------------------
 
 
@@ -248,13 +260,6 @@ def laplacian(field: Field) -> Field:
     spec = forward_transform(field)
     out = np.fft.ifftn(-spec.grid.k_sq * spec.coefficients, norm="ortho")
     return Field(field.grid, out)
-
-
-def derivative(field: Field, axis: int) -> Field:
-    """Spectral partial derivative along one axis (multiplier i*k_axis)."""
-    spec = forward_transform(field)
-    kg = field.grid.wavenumber_grids[axis]
-    return Field(field.grid, np.fft.ifftn(1j * kg * spec.coefficients, norm="ortho"))
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +298,6 @@ def grad_norm_sq(field: Field) -> float:
     return float(
         np.sum(spec.grid.k_sq * np.abs(spec.coefficients) ** 2)
         * field.grid.cell_volume
-    )
-
-
-def spectral_mass_sq(spec: SpectralField) -> float:
-    return float(np.sum(np.abs(spec.coefficients) ** 2) * spec.grid.cell_volume)
-
-
-def spectral_grad_sq(spec: SpectralField) -> float:
-    return float(
-        np.sum(spec.grid.k_sq * np.abs(spec.coefficients) ** 2)
-        * spec.grid.cell_volume
     )
 
 

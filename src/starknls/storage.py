@@ -56,20 +56,34 @@ def write_snapshot(path, field: Field) -> None:
 
 
 def read_snapshot(path) -> Field:
+    """Read a snapshot; a bad magic, version, dimension or grid, or a header
+    or payload of the wrong length, raises StarkNLSError naming the file."""
     raw = Path(path).read_bytes()
     if raw[:4] != SNAPSHOT_MAGIC:
         raise StarkNLSError(f"{path}: not a field snapshot (bad magic)")
+    if len(raw) < 8:
+        raise StarkNLSError(f"{path}: truncated snapshot header ({len(raw)} bytes)")
     version, n = struct.unpack_from("<HH", raw, 4)
     if version != SNAPSHOT_VERSION:
         raise StarkNLSError(f"{path}: unsupported snapshot version {version}")
-    off = 8
-    shape = struct.unpack_from(f"<{n}I", raw, off)
-    off += 4 * n
-    half_widths = struct.unpack_from(f"<{n}d", raw, off)
-    off += 8 * n
-    count = int(np.prod(shape))
-    data = np.frombuffer(raw, dtype="<c16", count=count, offset=off)
-    grid = GridSpec(n=n, shape=shape, half_widths=half_widths)
+    if n not in (1, 2, 3):
+        raise StarkNLSError(f"{path}: bad snapshot dimension {n}")
+    off = 8 + 12 * n
+    if len(raw) < off:
+        raise StarkNLSError(f"{path}: truncated snapshot header ({len(raw)} bytes)")
+    shape = struct.unpack_from(f"<{n}I", raw, 8)
+    half_widths = struct.unpack_from(f"<{n}d", raw, 8 + 4 * n)
+    try:
+        grid = GridSpec(n=n, shape=shape, half_widths=half_widths)
+    except ValueError as exc:
+        raise StarkNLSError(f"{path}: bad snapshot grid: {exc}") from None
+    payload = len(raw) - off
+    if payload != 16 * grid.num_points:
+        raise StarkNLSError(
+            f"{path}: snapshot payload is {payload} bytes, expected "
+            f"{16 * grid.num_points} for shape {shape}"
+        )
+    data = np.frombuffer(raw, dtype="<c16", count=grid.num_points, offset=off)
     return Field(grid, data.reshape(shape))
 
 

@@ -20,6 +20,7 @@ from scipy.integrate import solve_ivp
 from starknls import (
     GridSpec,
     Field,
+    grad_norm_sq,
     ground_state_1d_exact,
     ground_state_energy,
     petviashvili,
@@ -245,3 +246,42 @@ class TestRadialInterpolant:
     def test_zero_beyond_domain(self, gs_1d):
         q_of_r = radial_interpolant(gs_1d)
         assert q_of_r(np.array([1000.0]))[0] == 0.0
+
+
+class TestHalfSpectrumSolver:
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GridSpec(n=1, shape=256, half_widths=20.0),
+            GridSpec(n=2, shape=(64, 32), half_widths=(6.0, 3.0)),
+            GridSpec(n=3, shape=(32, 32, 16), half_widths=(3.0, 3.0, 1.5)),
+        ],
+        ids=["1d", "2d", "3d"],
+    )
+    def test_grad_sq_matches_full_spectrum(self, grid):
+        # the solver's grad_sq is a weighted half-spectrum sum; the full
+        # complex-spectrum Parseval sum is the reference
+        gs = petviashvili(grid)
+        ref = grad_norm_sq(gs.profile)
+        assert gs.grad_sq == pytest.approx(ref, rel=1e-12)
+
+    def test_three_real_transforms_per_iteration(self, monkeypatch):
+        real = ("rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
+        complex_ = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
+        calls = dict.fromkeys(real + complex_, 0)
+
+        def counted(name):
+            fn = getattr(np.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counted(name))
+        gs = petviashvili(GridSpec.create(2, 6.0, 64))
+        monkeypatch.undo()
+        assert sum(calls[k] for k in complex_) == 0
+        assert 0 < sum(calls[k] for k in real) <= 3 * gs.iterations + 1

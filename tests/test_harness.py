@@ -102,6 +102,22 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError, match="Nyquist"):
             ScenarioConfig.from_text(text)
 
+    @pytest.mark.parametrize(
+        "line, value",
+        [
+            ("cfl", "nan"), ("cfl", "-1"), ("cfl", "0"), ("cfl", "inf"),
+            ("grad_stop", "nan"), ("grad_stop", "-1"), ("grad_stop", "inf"),
+            ("E", "nan"), ("E", "inf"),
+        ],
+    )
+    def test_nonfinite_or_nonpositive_rejected(self, line, value):
+        if line == "E":
+            text = BASE.replace("E = 0", f"E = {value}")
+        else:
+            text = BASE.replace("dt0 = 1e-3", f"dt0 = 1e-3\n{line} = {value}")
+        with pytest.raises(ConfigError, match=line):
+            ScenarioConfig.from_text(text)
+
     def test_echo_round_trip(self):
         cfg = ScenarioConfig.from_text(BASE)
         again = ScenarioConfig.from_text(cfg.to_text())

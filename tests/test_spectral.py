@@ -27,7 +27,7 @@ from starknls import (
     spectral_fill_fraction,
     write_snapshot,
 )
-from starknls.errors import DivergedFieldError, GridMismatchError
+from starknls.errors import DivergedFieldError, GridMismatchError, StarkNLSError
 
 from conftest import random_band_limited_field
 
@@ -174,6 +174,19 @@ class TestGradNormSq:
         quad = -inner(laplacian(f), f).real
         assert abs(grad_norm_sq(f) - quad) <= 1e-10 * max(1.0, grad_norm_sq(f))
 
+    @pytest.mark.parametrize("shape", [(16,), (8, 4), (4, 8, 2)])
+    def test_half_spectrum_weights(self, shape):
+        # white noise fills every mode, the Nyquist planes included
+        grid = GridSpec(n=len(shape), shape=shape, half_widths=(1.0,) * len(shape))
+        q = np.random.default_rng(3).normal(size=shape)
+        full = np.abs(np.fft.fftn(q, norm="ortho")) ** 2
+        half = np.abs(np.fft.rfftn(q, norm="ortho")) ** 2
+        ksq_half = grid.k_sq[..., : shape[-1] // 2 + 1]
+        for weight, full_weight in ((1.0, 1.0), (ksq_half, grid.k_sq)):
+            assert np.sum(grid.rfft_weights * weight * half) == pytest.approx(
+                np.sum(full_weight * full), rel=1e-13
+            )
+
 
 class TestDiagnosticsMasks:
     def test_spectral_fill_of_smooth_field(self, grid_1d):
@@ -228,6 +241,20 @@ class TestSnapshotFormat:
         assert g.grid.shape == (32, 64)
         assert g.grid.half_widths == (4.0, 8.0)
         assert np.array_equal(g.data, f.data)
+
+    def test_truncated_at_every_byte(self, tmp_path):
+        grid = GridSpec(n=2, shape=(2, 4), half_widths=(1.0, 2.0))
+        path = tmp_path / "field.dnls"
+        write_snapshot(path, Field(grid, np.arange(8.0).reshape(2, 4) + 1j))
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.dnls"
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            with pytest.raises(StarkNLSError, match="cut.dnls"):
+                read_snapshot(cut)
+        cut.write_bytes(raw + b"\x00")
+        with pytest.raises(StarkNLSError, match="payload"):
+            read_snapshot(cut)
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bogus.dnls"
