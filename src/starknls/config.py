@@ -309,8 +309,10 @@ class ScenarioConfig:
             self.hooks()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not self.t_end > 0:
-            raise ConfigError("[scenario] t_end must be positive")
+        if not (self.t_end > 0 and np.isfinite(self.t_end)):
+            raise ConfigError(
+                f"[scenario] t_end must be positive and finite, got {self.t_end}"
+            )
         rp = self.recipe_params
         dx = max(grid.dx)
         if self.needs_ground_state() and dx >= 0.2:
@@ -374,12 +376,7 @@ class ScenarioConfig:
             r_sq = r_sq + (xg - c) ** 2
         if self.recipe == "gaussian":
             envelope = rp["amplitude"] * np.exp(-r_sq / (2.0 * rp["width"] ** 2))
-            k0 = np.broadcast_to(np.asarray(rp["k0"], dtype=float), (self.n,))
-            phase = np.zeros(grid.shape)
-            for xg, kk in zip(grid.coordinate_grids, k0):
-                if kk != 0.0:
-                    phase = phase + kk * xg
-            return Field(grid, envelope * np.exp(1j * phase))
+            return Field(grid, envelope * np.exp(1j * grid.linear_phase(rp["k0"])))
         gs = self.ground_state()
         base = rp["c"] * gs.profile.data.real
         if self.recipe == "scaled_q":

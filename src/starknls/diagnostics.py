@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import InsufficientDataError, NoBoundError, ResolutionError
-from .spectral import Field, PhysParams
+from .spectral import Field, PhysParams, power_momentum
 
 # fit-window policy: samples with grad_norm at least this factor above the
 # trajectory minimum belong to the collapse window
@@ -88,20 +88,24 @@ class BlowupReport:
     window_points: int = 0
 
 
-def sample(u: Field, t: float, params: PhysParams) -> DiagnosticsSample:
-    """Evaluate every observable on a (physical-frame) field."""
+def sample(
+    u: Field, t: float, params: PhysParams, power: np.ndarray | None = None
+) -> DiagnosticsSample:
+    """Evaluate every observable on a (physical-frame) field.
+
+    power is |u_hat|^2 of the unitary spectrum of u, if the caller already
+    has it; otherwise it is computed here with one transform.
+    """
     grid = u.grid
     vol = grid.cell_volume
     data = u.data
     density = np.abs(data) ** 2
     mass_sq = float(np.sum(density) * vol)
 
-    spec = np.fft.fftn(data, norm="ortho")
-    power = np.abs(spec) ** 2
+    if power is None:
+        power = np.abs(np.fft.fftn(data, norm="ortho")) ** 2
     grad_sq = float(np.sum(grid.k_sq * power) * vol)
-    mom = tuple(
-        float(np.sum(kg * power) * vol) for kg in grid.wavenumber_grids
-    )
+    mom = power_momentum(power, grid)
 
     p = params.p
     lp_sum = float(np.sum(density ** ((p + 1.0) / 2.0)) * vol)

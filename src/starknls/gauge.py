@@ -22,55 +22,55 @@ import numpy as np
 
 from .errors import ResolutionError
 from .ground_state import GroundState, radial_interpolant
-from .spectral import Field, GridSpec
+from .spectral import Field, GridSpec, _cis
 
 
-def _shift(field: Field, offsets) -> np.ndarray:
-    """Sample field at x + offset per axis via spectral phase ramps."""
-    grid = field.grid
-    fh = np.fft.fftn(field.data, norm="ortho")
+def _shift_spectrum(spec: np.ndarray, grid: GridSpec, offsets) -> np.ndarray:
+    """Spectrum of the field sampled at x + offset per axis: each axis gets
+    the phase ramp exp(i k s). spec itself is not modified."""
     for axis, s in enumerate(offsets):
         if s == 0.0:
             continue
-        k = grid.axis_wavenumbers(axis)
         shape = [1] * grid.n
-        shape[axis] = k.size
-        fh = fh * np.exp(1j * k * s).reshape(shape)
-    return np.fft.ifftn(fh, norm="ortho")
+        shape[axis] = grid.shape[axis]
+        spec = spec * _cis(grid.axis_wavenumbers(axis) * s).reshape(shape)
+    return spec
 
 
-def _linear_phase(grid: GridSpec, coeffs) -> np.ndarray:
-    """The pointwise field  sum_axis coeffs[axis] * x_axis  on the grid."""
-    out = np.zeros(grid.shape)
-    for xg, c in zip(grid.coordinate_grids, coeffs):
-        if c != 0.0:
-            out = out + c * xg
-    return out
+def ah_forward_spectrum(
+    spec: np.ndarray, grid: GridSpec, t: float, E, e_dot_x: np.ndarray | None = None
+) -> np.ndarray:
+    """Samples of the uniform-field solution u at time t, given the unitary
+    spectrum of the E = 0 frame field (left unmodified).
+
+    The t^2 E shift is folded into the spectrum before the one inverse
+    transform. e_dot_x is E.x on the grid, for callers that map many times.
+    """
+    E = np.broadcast_to(np.asarray(E, dtype=float), (grid.n,))
+    u = np.fft.ifftn(_shift_spectrum(spec, grid, t * t * E), norm="ortho")
+    if e_dot_x is None:
+        e_dot_x = grid.linear_phase(E)
+    u *= _cis(-(t * e_dot_x + float(np.dot(E, E)) * t**3 / 3.0))
+    return u
 
 
 def ah_forward(phi: Field, t: float, E) -> Field:
     """Map an E = 0 frame field to the uniform-field solution at time t."""
-    grid = phi.grid
-    E = np.broadcast_to(np.asarray(E, dtype=float), (grid.n,))
-    e_sq = float(np.dot(E, E))
-    if e_sq == 0.0 or t == 0.0:
-        shifted = _shift(phi, t * t * E) if t != 0.0 and e_sq > 0.0 else phi.data
-        return Field(grid, shifted)
-    shifted = _shift(phi, t * t * E)
-    phase = t * _linear_phase(grid, E) + e_sq * t**3 / 3.0
-    return Field(grid, shifted * np.exp(-1j * phase))
+    if t == 0.0 or not np.any(E):
+        return phi
+    spec = np.fft.fftn(phi.data, norm="ortho")
+    return Field(phi.grid, ah_forward_spectrum(spec, phi.grid, t, E))
 
 
 def ah_inverse(u: Field, t: float, E) -> Field:
     """Inverse map; exact inverse of ah_forward at the same (t, E)."""
+    if t == 0.0 or not np.any(E):
+        return u
     grid = u.grid
     E = np.broadcast_to(np.asarray(E, dtype=float), (grid.n,))
-    e_sq = float(np.dot(E, E))
-    if e_sq == 0.0 or t == 0.0:
-        return Field(grid, u.data)
-    shifted = _shift(u, -t * t * E)
-    phase = t * _linear_phase(grid, E) - 2.0 * e_sq * t**3 / 3.0
-    return Field(grid, shifted * np.exp(1j * phase))
+    spec = _shift_spectrum(np.fft.fftn(u.data, norm="ortho"), grid, -t * t * E)
+    phase = t * grid.linear_phase(E) - 2.0 * float(np.dot(E, E)) * t**3 / 3.0
+    return Field(grid, np.fft.ifftn(spec, norm="ortho") * _cis(phase))
 
 
 @dataclass(frozen=True)

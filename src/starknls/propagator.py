@@ -34,8 +34,15 @@ import numpy as np
 
 from . import diagnostics
 from .errors import DivergedFieldError
-from .gauge import ah_forward
-from .spectral import Field, PhysParams, boundary_mass_fraction
+from .gauge import ah_forward, ah_forward_spectrum
+from .spectral import (
+    Field,
+    PhysParams,
+    _cis,
+    boundary_mass_fraction,
+    power_fill_fraction,
+    power_momentum,
+)
 
 
 class Backend(enum.Enum):
@@ -93,6 +100,10 @@ class DiagnosticHooks:
     def __post_init__(self):
         if self.sample_every_steps < 1:
             raise ValueError("sample_every_steps must be >= 1")
+        g = self.snapshot_grad_factor
+        # <= 1 would snapshot every step, nan only the first and last state
+        if g is not None and not (g > 1 and np.isfinite(g)):
+            raise ValueError(f"snapshot_grad_factor must be finite and > 1, got {g}")
 
     @property
     def snapshots_enabled(self) -> bool:
@@ -168,26 +179,41 @@ class TrajectoryRecord:
 # ---------------------------------------------------------------------------
 
 
+def _kinetic_multiplier(k_sq: np.ndarray, tau: float, out=None) -> np.ndarray:
+    """Free flow over tau: exp(-i |k|^2 tau) per mode."""
+    return _cis(k_sq * -tau, out=out)
+
+
+def _nonlinear_factor(data, tau, a, p, nl_strength=1.0, potential=None):
+    """Pointwise factor exp(-a tau + i phase) of the exact damped focusing
+    flow over tau; the phase is the integral of (rho0 e^{-a s})^{p-1}.
+    A potential (E.x) adds its phase -potential * tau."""
+    rho = np.abs(data)
+    if p == 5.0:
+        phase = np.square(np.square(rho))
+    elif p == 3.0:
+        phase = np.square(rho)
+    else:
+        phase = rho ** (p - 1.0)
+    if a > 0.0:
+        phase *= -np.expm1(-(p - 1.0) * a * tau)
+        phase /= (p - 1.0) * a
+    else:
+        phase *= tau
+    if nl_strength != 1.0:
+        phase *= nl_strength
+    if potential is not None:
+        phase -= potential * tau
+    return _cis(phase, np.exp(-a * tau))
+
+
 def kinetic_substep(f: Field, tau: float) -> Field:
     """Exact free flow: every mode multiplied by exp(-i |k|^2 tau)."""
     if not f.is_finite():
         raise DivergedFieldError("field contains non-finite samples")
     fh = np.fft.fftn(f.data, norm="ortho")
-    fh *= np.exp(-1j * f.grid.k_sq * tau)
+    fh *= _kinetic_multiplier(f.grid.k_sq, tau)
     return Field(f.grid, np.fft.ifftn(fh, norm="ortho"))
-
-
-def _nonlinear_phase(rho: np.ndarray, tau: float, a: float, p: float) -> np.ndarray:
-    if p == 5.0:
-        rho_pm1 = np.square(np.square(rho))
-    elif p == 3.0:
-        rho_pm1 = np.square(rho)
-    else:
-        rho_pm1 = rho ** (p - 1.0)
-    if a > 0.0:
-        # integral of (rho0 e^{-a s})^{p-1} over [0, tau]
-        return rho_pm1 * (-np.expm1(-(p - 1.0) * a * tau)) / ((p - 1.0) * a)
-    return rho_pm1 * tau
 
 
 def nonlinear_damped_substep(
@@ -201,10 +227,7 @@ def nonlinear_damped_substep(
     """
     if tau < 0:
         raise ValueError("nonlinear substep requires tau >= 0")
-    phase = _nonlinear_phase(np.abs(f.data), tau, a, p)
-    if nl_strength != 1.0:
-        phase = phase * nl_strength
-    return Field(f.grid, f.data * np.exp(-a * tau + 1j * phase))
+    return Field(f.grid, f.data * _nonlinear_factor(f.data, tau, a, p, nl_strength))
 
 
 def stark_substep_direct(f: Field, tau: float, E) -> Field:
@@ -213,13 +236,7 @@ def stark_substep_direct(f: Field, tau: float, E) -> Field:
     Requires interior-supported data: the sawtooth coordinate makes the
     potential jump across the periodic seam.
     """
-    grid = f.grid
-    E = np.broadcast_to(np.asarray(E, dtype=float), (grid.n,))
-    phase = np.zeros(grid.shape)
-    for xg, e in zip(grid.coordinate_grids, E):
-        if e != 0.0:
-            phase = phase + e * xg
-    return Field(grid, f.data * np.exp(-1j * phase * tau))
+    return Field(f.grid, f.data * _cis(f.grid.linear_phase(E) * -tau))
 
 
 # ---------------------------------------------------------------------------
@@ -228,67 +245,74 @@ def stark_substep_direct(f: Field, tau: float, E) -> Field:
 
 
 class _Stepper:
-    """Array-level step kernel; reuses multipliers while dt stays constant."""
+    """Strang kernel that keeps the field in Fourier space between steps.
+
+    Its state is the spectrum fh taken right after the last nonlinear
+    substep, plus the trailing half-kinetic flow H(dt/2) that this spectrum
+    still owes: the stored field is ifft(fh * H(dt/2)). The next step
+    applies the owed half and its own leading half to fh, one multiply each,
+    so a step costs one inverse and one forward transform. Kinetic
+    multipliers are unimodular, so |fh|^2 already gives the post-step mass,
+    |grad|^2, momentum and spectral fill.
+    """
 
     def __init__(self, state: SimState):
-        self.grid = state.field.grid
+        grid = state.field.grid
         self.params = state.params
-        self.backend = state.backend
-        self.vol = self.grid.cell_volume
-        self.k_sq = self.grid.k_sq
-        self._half_tau = None
-        self._half_mult = None
-        p = state.params
-        self.stark_phase = None
-        if self.backend is Backend.DIRECT_POTENTIAL and p.E_norm > 0:
-            phase = np.zeros(self.grid.shape)
-            for xg, e in zip(self.grid.coordinate_grids, p.E):
-                if e != 0.0:
-                    phase = phase + e * xg
-            self.stark_phase = phase
-        spec0 = np.fft.fftn(state.field.data, norm="ortho")
-        self.mass_ref = float(np.sum(np.abs(spec0) ** 2) * self.vol)
+        self.vol = grid.cell_volume
+        self.k_sq = grid.k_sq
+        self.potential = None
+        if state.backend is Backend.DIRECT_POTENTIAL and state.params.E_norm > 0:
+            self.potential = grid.linear_phase(state.params.E)
+        self.fh = np.fft.fftn(state.field.data, norm="ortho")
+        self._data = np.empty_like(self.fh)
+        self._half = np.empty_like(self.fh)   # H(dt/2), rebuilt when dt changes
+        self._half_dt = None
+        self._owed = False                    # fh still owes self._half
+        self.power = np.abs(self.fh) ** 2
+        self.mass_sq = float(np.sum(self.power) * self.vol)
+        self.grad_sq = float(np.sum(self.k_sq * self.power) * self.vol)
 
-    def _half_kinetic_multiplier(self, dt: float) -> np.ndarray:
-        if self._half_tau != dt:
-            self._half_mult = np.exp(-1j * self.k_sq * (0.5 * dt))
-            self._half_tau = dt
-        return self._half_mult
+    def settle(self) -> np.ndarray:
+        """Apply the owed half-kinetic flow; fh is then the spectrum of the
+        stored field. Returns fh, which the next step keeps using."""
+        if self._owed:
+            self.fh *= self._half
+            self._owed = False
+        return self.fh
 
-    def advance(self, data: np.ndarray, dt: float):
-        """One Strang step. Returns (data, mass_sq, grad_sq, spectrum_abs2).
+    def step(self, dt: float) -> None:
+        """One Strang step of size dt.
 
-        The returned diagnostics describe the post-step stored field and are
-        read off the final spectrum at no extra transform cost. The post-step
-        mass is rescaled onto the exact decay factor e^{-2 a dt}, repairing
-        the (order round-off) unitarity defect of the FFT pair.
+        The post-step mass is rescaled onto the exact decay factor
+        e^{-2 a dt}, repairing the (order round-off) unitarity defect of the
+        FFT pair.
         """
         p = self.params
-        half = self._half_kinetic_multiplier(dt)
-        fh = np.fft.fftn(data, norm="ortho")
-        fh *= half
-        data = np.fft.ifftn(fh, norm="ortho")
-        phase = _nonlinear_phase(np.abs(data), dt, p.a, p.p)
-        if p.nl_strength != 1.0:
-            phase *= p.nl_strength
-        if self.stark_phase is not None:
-            phase = phase - self.stark_phase * dt
-        data *= np.exp((-p.a * dt) + 1j * phase)
-        fh = np.fft.fftn(data, norm="ortho")
-        fh *= half
-        power = np.abs(fh) ** 2
+        fh = self.settle()
+        if self._half_dt != dt:
+            _kinetic_multiplier(self.k_sq, 0.5 * dt, out=self._half)
+            self._half_dt = dt
+        fh *= self._half
+        data = np.fft.ifftn(fh, norm="ortho", out=self._data)
+        data *= _nonlinear_factor(data, dt, p.a, p.p, p.nl_strength, self.potential)
+        np.fft.fftn(data, norm="ortho", out=fh)
+        self._owed = True
+        power = np.square(np.abs(fh, out=self.power), out=self.power)
         mass_raw = float(np.sum(power) * self.vol)
-        self.mass_ref *= np.exp(-2.0 * p.a * dt)
+        mass_ref = self.mass_sq * np.exp(-2.0 * p.a * dt)
         if mass_raw > 0.0:
-            scale = np.sqrt(self.mass_ref / mass_raw)
+            scale = np.sqrt(mass_ref / mass_raw)
             fh *= scale
             power *= scale * scale
-            mass_sq = self.mass_ref
+            self.mass_sq = mass_ref
         else:
-            mass_sq = 0.0
-        grad_sq = float(np.sum(self.k_sq * power) * self.vol)
-        data = np.fft.ifftn(fh, norm="ortho")
-        return data, mass_sq, grad_sq, power
+            self.mass_sq = 0.0
+        self.grad_sq = float(np.sum(self.k_sq * power) * self.vol)
+
+    def field_data(self) -> np.ndarray:
+        """Samples of the stored field (a new array)."""
+        return np.fft.ifftn(self.settle(), norm="ortho")
 
 
 def strang_step(s: SimState, dt: float) -> SimState:
@@ -299,17 +323,16 @@ def strang_step(s: SimState, dt: float) -> SimState:
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    stepper = _Stepper(s)
-    data, _, _, _ = stepper.advance(s.field.data.copy(), dt)
-    new_field = Field(s.field.grid, data)
-    diverged = not new_field.is_finite()
+    kernel = _Stepper(s)
+    kernel.step(dt)
+    new_field = Field(s.field.grid, kernel.field_data())
     return SimState(
         t=s.t + dt,
         field=new_field,
         params=s.params,
         backend=s.backend,
         step_count=s.step_count + 1,
-        diverged=diverged,
+        diverged=not new_field.is_finite(),
     )
 
 
@@ -334,52 +357,52 @@ def evolve(
     the top band holds more than ctrl.spectral_fill_max of the mass,
     DT_UNDERFLOW when dt falls below ctrl.dt_min, DIVERGED on non-finite
     samples. Observers receive the physical (transformed) field.
+
+    The stop checks and the step size read the kernel's spectrum, so an
+    unsampled step costs two transforms; a sample or snapshot costs one
+    inverse transform more.
     """
-    if not t_end > s.t:
-        raise ValueError(f"t_end={t_end} must exceed current time {s.t}")
+    if not (t_end > s.t and np.isfinite(t_end)):
+        raise ValueError(
+            f"t_end={t_end} must be finite and exceed current time {s.t}"
+        )
     hooks = observers if observers is not None else DiagnosticHooks()
     traj = TrajectoryRecord(params=s.params, backend=s.backend)
 
     grid = s.field.grid
-    stepper = _Stepper(s)
-    data = s.field.data.copy()
-    if not np.all(np.isfinite(data.view(np.float64))):
+    if not s.field.is_finite():
         raise DivergedFieldError("initial field contains non-finite samples")
+    kernel = _Stepper(s)
     t = s.t
     steps = 0
     dt_used = 0.0
     last_snap_g = None
-    high_band = grid._high_band_mask
 
-    spec_power = np.abs(np.fft.fftn(data, norm="ortho")) ** 2
-    mass_sq = float(np.sum(spec_power) * grid.cell_volume)
-    grad_sq = float(np.sum(grid.k_sq * spec_power) * grid.cell_volume)
-
-    gauge_drift = s.backend is Backend.GAUGE_FRAME and s.params.E_norm > 0
+    # In the accelerated frame (GAUGE_FRAME with E != 0) the observed field
+    # is the frame map of the stored one; otherwise it is the stored field
+    # and its power spectrum is the kernel's.
+    frame_map = s.backend is Backend.GAUGE_FRAME and s.params.E_norm > 0
     E = np.asarray(s.params.E)
+    e_dot_x = grid.linear_phase(E) if frame_map else None
 
-    def physical_grad_sq(power):
+    def physical_grad_sq():
         """|grad u|^2 of the physical field from stored-field functionals.
 
-        In the accelerated frame (GAUGE_FRAME with E != 0), grad u picks up
-        the drift term -i t E u, so |grad u|^2 = |grad phi|^2
-        - 2 t E.P(phi) + t^2 |E|^2 |phi|^2 exactly; only then is the
-        momentum P(phi) needed.
+        In the accelerated frame, grad u picks up the drift term -i t E u,
+        so |grad u|^2 = |grad phi|^2 - 2 t E.P(phi) + t^2 |E|^2 |phi|^2
+        exactly; only then is the momentum P(phi) needed.
         """
-        if not gauge_drift:
-            return max(grad_sq, 0.0)
-        mom = tuple(
-            float(np.sum(kg * power) * grid.cell_volume)
-            for kg in grid.wavenumber_grids
-        )
+        if not frame_map:
+            return max(kernel.grad_sq, 0.0)
         g_sq = (
-            grad_sq
-            - 2.0 * t * float(np.dot(E, mom))
-            + t**2 * s.params.E_norm**2 * mass_sq
+            kernel.grad_sq
+            - 2.0 * t * float(np.dot(E, power_momentum(kernel.power, grid)))
+            + t**2 * s.params.E_norm**2 * kernel.mass_sq
         )
         return max(g_sq, 0.0)
 
-    def record(power, g_sq_phys, final=False):
+    def record(g_sq_phys, fill, final=False):
+        """Sample and snapshot when due; returns the observed field or None."""
         nonlocal last_snap_g
         g_phys = np.sqrt(g_sq_phys)
         due_sample = final or steps % hooks.sample_every_steps == 0
@@ -395,15 +418,17 @@ def evolve(
             ):
                 due_snap = True
         if not (due_sample or due_snap):
-            return
-        state = SimState(t=t, field=Field(grid, data.copy()), params=s.params,
-                         backend=s.backend, step_count=s.step_count + steps)
-        u_phys = state.observed_field()
+            return None
+        spec = kernel.settle()
+        if frame_map:
+            u_phys = Field(grid, ah_forward_spectrum(spec, grid, t, E, e_dot_x))
+            power = None
+        else:
+            u_phys = Field(grid, np.fft.ifftn(spec, norm="ortho"))
+            power = kernel.power
         if due_sample:
-            traj.samples.append(diagnostics.sample(u_phys, t, s.params))
+            traj.samples.append(diagnostics.sample(u_phys, t, s.params, power=power))
             traj.dt_series.append(dt_used)
-            fill_total = float(np.sum(power))
-            fill = float(np.sum(power[high_band]) / fill_total) if fill_total else 0.0
             traj.fill_series.append(fill)
             bmass = boundary_mass_fraction(u_phys)
             if bmass > _BOUNDARY_SEAM_LIMIT:
@@ -413,18 +438,18 @@ def evolve(
         if due_snap:
             traj.snapshots.append(Snapshot(t=t, field=u_phys, grad_norm=g_phys))
             last_snap_g = g_phys
+        return u_phys
 
     while True:
         # stop checks on the current state
-        if not np.isfinite(mass_sq) or not np.isfinite(grad_sq):
+        g_sq_phys = physical_grad_sq()
+        fill = power_fill_fraction(kernel.power, grid)
+        if not np.isfinite(kernel.mass_sq) or not np.isfinite(kernel.grad_sq):
             traj.stop_reason = StopReason.DIVERGED
             break
-        g_sq_phys = physical_grad_sq(spec_power)
         if np.sqrt(g_sq_phys) > ctrl.grad_stop:
             traj.stop_reason = StopReason.GRAD_THRESHOLD
             break
-        total = float(np.sum(spec_power))
-        fill = float(np.sum(spec_power[high_band]) / total) if total > 0 else 0.0
         if fill > ctrl.spectral_fill_max:
             traj.stop_reason = StopReason.SPECTRAL_FILL
             break
@@ -438,16 +463,16 @@ def evolve(
             traj.stop_reason = StopReason.DT_UNDERFLOW
             break
 
-        record(spec_power, g_sq_phys)
-        data, mass_sq, grad_sq, spec_power = stepper.advance(data, dt)
+        record(g_sq_phys, fill)
+        kernel.step(dt)
         t += dt
         steps += 1
         dt_used = dt
 
-    record(spec_power, physical_grad_sq(spec_power), final=True)
+    observed = record(g_sq_phys, fill, final=True)
     final_state = SimState(
         t=t,
-        field=Field(grid, data),
+        field=Field(grid, kernel.field_data()) if frame_map else observed,
         params=s.params,
         backend=s.backend,
         step_count=s.step_count + steps,

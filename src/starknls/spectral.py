@@ -120,6 +120,16 @@ class GridSpec:
         weights[0] = weights[-1] = 1.0
         return weights
 
+    def linear_phase(self, coeffs) -> np.ndarray:
+        """The pointwise field  sum_axis coeffs[axis] * x_axis  on the grid:
+        the Stark potential E.x, or the phase k0.x of a plane wave."""
+        coeffs = np.broadcast_to(np.asarray(coeffs, dtype=float), (self.n,))
+        out = np.zeros(self.shape)
+        for xg, c in zip(self.coordinate_grids, coeffs):
+            if c != 0.0:
+                out += c * xg
+        return out
+
     @cached_property
     def radius_sq(self) -> np.ndarray:
         """|x|^2 on the full coordinate grid."""
@@ -244,6 +254,19 @@ class PhysParams:
 # ---------------------------------------------------------------------------
 
 
+def _cis(phase: np.ndarray, scale: float = 1.0, out: np.ndarray | None = None):
+    """scale * exp(i phase), written as cos and sin into the real and
+    imaginary views of one complex array (out, if given). Cheaper than
+    np.exp of a complex argument, and bit-identical to it."""
+    if out is None:
+        out = np.empty(np.shape(phase), dtype=np.complex128)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    if scale != 1.0:
+        out *= scale
+    return out
+
+
 def forward_transform(field: Field) -> SpectralField:
     """Unitary DFT of a field. Raises DivergedFieldError on non-finite input."""
     if not field.is_finite():
@@ -303,9 +326,14 @@ def grad_norm_sq(field: Field) -> float:
 
 def momentum(field: Field) -> tuple[float, ...]:
     """Im integral(conj(u) grad u) per axis, computed as sum k |u_hat|^2."""
-    spec = forward_transform(field)
-    w = np.abs(spec.coefficients) ** 2 * field.grid.cell_volume
-    return tuple(float(np.sum(kg * w)) for kg in field.grid.wavenumber_grids)
+    power = np.abs(forward_transform(field).coefficients) ** 2
+    return power_momentum(power, field.grid)
+
+
+def power_momentum(power: np.ndarray, grid: GridSpec) -> tuple[float, ...]:
+    """Momentum per axis from the power spectrum |u_hat|^2 of a field."""
+    vol = grid.cell_volume
+    return tuple(float(np.sum(kg * power) * vol) for kg in grid.wavenumber_grids)
 
 
 def spectral_fill_fraction(spec: SpectralField) -> float:
@@ -314,11 +342,13 @@ def spectral_fill_fraction(spec: SpectralField) -> float:
     The high band is |k| >= (7/8) of the smallest per-axis Nyquist wavenumber.
     Values near 1 mean the grid resolution is exhausted.
     """
-    power = np.abs(spec.coefficients) ** 2
+    return power_fill_fraction(np.abs(spec.coefficients) ** 2, spec.grid)
+
+
+def power_fill_fraction(power: np.ndarray, grid: GridSpec) -> float:
+    """spectral_fill_fraction from the power spectrum |u_hat|^2 of a field."""
     total = float(np.sum(power))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(power[spec.grid._high_band_mask]) / total)
+    return float(np.sum(power[grid._high_band_mask]) / total) if total else 0.0
 
 
 def boundary_mass_fraction(field: Field) -> float:

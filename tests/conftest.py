@@ -34,3 +34,26 @@ def random_band_limited_field(grid, modes=32, seed=0, envelope_width=None):
     width = envelope_width if envelope_width else min(grid.half_widths) / 8.0
     data = data * np.exp(-grid.radius_sq / (2.0 * width**2))
     return Field(grid, data)
+
+
+REAL_FFTS = ("rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
+COMPLEX_FFTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Calls per numpy.fft transform made while the test runs, by name."""
+    calls = dict.fromkeys(REAL_FFTS + COMPLEX_FFTS, 0)
+
+    def counted(name):
+        fn = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counted(name))
+    return calls

@@ -29,6 +29,8 @@ from starknls import (
 from starknls.errors import IterationError, ResolutionError
 from starknls.ground_state import radial_interpolant
 
+from conftest import COMPLEX_FFTS, REAL_FFTS
+
 Q_PEAK = 1.3160740129524924
 Q_MASS_SQ = 2.7206990463513267
 Q_GRAD_SQ = 1.3603495231756634
@@ -265,23 +267,7 @@ class TestHalfSpectrumSolver:
         ref = grad_norm_sq(gs.profile)
         assert gs.grad_sq == pytest.approx(ref, rel=1e-12)
 
-    def test_three_real_transforms_per_iteration(self, monkeypatch):
-        real = ("rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
-        complex_ = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
-        calls = dict.fromkeys(real + complex_, 0)
-
-        def counted(name):
-            fn = getattr(np.fft, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(np.fft, name, counted(name))
+    def test_three_real_transforms_per_iteration(self, fft_calls):
         gs = petviashvili(GridSpec.create(2, 6.0, 64))
-        monkeypatch.undo()
-        assert sum(calls[k] for k in complex_) == 0
-        assert 0 < sum(calls[k] for k in real) <= 3 * gs.iterations + 1
+        assert sum(fft_calls[k] for k in COMPLEX_FFTS) == 0
+        assert 0 < sum(fft_calls[k] for k in REAL_FFTS) <= 3 * gs.iterations + 1

@@ -107,15 +107,26 @@ class TestConfigGrammar:
         [
             ("cfl", "nan"), ("cfl", "-1"), ("cfl", "0"), ("cfl", "inf"),
             ("grad_stop", "nan"), ("grad_stop", "-1"), ("grad_stop", "inf"),
-            ("E", "nan"), ("E", "inf"),
+            ("E", "nan"), ("E", "inf"), ("t_end", "inf"), ("t_end", "nan"),
         ],
     )
     def test_nonfinite_or_nonpositive_rejected(self, line, value):
         if line == "E":
             text = BASE.replace("E = 0", f"E = {value}")
+        elif line == "t_end":
+            text = BASE.replace("t_end = 0.3", f"t_end = {value}")
         else:
             text = BASE.replace("dt0 = 1e-3", f"dt0 = 1e-3\n{line} = {value}")
         with pytest.raises(ConfigError, match=line):
+            ScenarioConfig.from_text(text)
+
+    @pytest.mark.parametrize("value", ["1", "0.5", "-1", "nan", "inf"])
+    def test_snapshot_grad_factor_must_exceed_one(self, value):
+        text = BASE.replace(
+            "sample_every_steps = 5",
+            f"sample_every_steps = 5\nsnapshot_grad_factor = {value}",
+        )
+        with pytest.raises(ConfigError, match="snapshot_grad_factor"):
             ScenarioConfig.from_text(text)
 
     def test_echo_round_trip(self):

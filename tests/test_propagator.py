@@ -17,6 +17,7 @@ from starknls import (
     SimState,
     StepController,
     StopReason,
+    diagnostics,
     evolve,
     kinetic_substep,
     l2_norm,
@@ -27,7 +28,7 @@ from starknls import (
     strang_step,
 )
 
-from conftest import random_band_limited_field
+from conftest import COMPLEX_FFTS, random_band_limited_field
 
 
 def rel_l2(a: Field, b_data) -> float:
@@ -180,6 +181,18 @@ class TestStrangStep:
         err = np.sqrt(np.sum(np.abs(final - 0.5 * f.data) ** 2) * grid_1d.cell_volume)
         assert err < 1e-6
 
+    @pytest.mark.parametrize("E", [0.0, 0.6])
+    def test_equals_composed_substeps(self, grid_1d, E):
+        # kinetic(dt/2) o [potential(dt) o nonlinear(dt)] o kinetic(dt/2)
+        f = random_band_limited_field(grid_1d, seed=9)
+        dt, a = 0.01, 0.3
+        state = make_state(grid_1d, 0.7 * f.data, a=a, E=(E,),
+                           backend=Backend.DIRECT_POTENTIAL)
+        g = kinetic_substep(state.field, dt / 2)
+        g = nonlinear_damped_substep(g, dt, a=a, p=5.0)
+        g = kinetic_substep(stark_substep_direct(g, dt, [E]), dt / 2)
+        assert rel_l2(strang_step(state, dt).field, g.data) < 1e-13
+
     def test_rejects_nonpositive_dt(self, grid_1d):
         state = make_state(grid_1d, np.ones(grid_1d.shape, dtype=complex))
         with pytest.raises(ValueError):
@@ -261,6 +274,12 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(state, 0.0, StepController())
 
+    @pytest.mark.parametrize("t_end", [np.inf, np.nan])
+    def test_rejects_nonfinite_t_end(self, grid_1d, t_end):
+        state = make_state(grid_1d, np.ones(grid_1d.shape, dtype=complex))
+        with pytest.raises(ValueError, match="finite"):
+            evolve(state, t_end, StepController())
+
     def test_snapshot_cadences(self, grid_1d):
         f = random_band_limited_field(grid_1d, seed=12)
         state = make_state(grid_1d, f.data)
@@ -291,3 +310,75 @@ class TestEvolve:
         state = make_state(grid, data, E=(0.5,), backend=Backend.DIRECT_POTENTIAL)
         _, traj = evolve(state, 0.05, StepController(dt0=1e-3), DiagnosticHooks())
         assert any(code == "seam_contamination" for code, _ in traj.warnings)
+
+
+def small_collapse_state(gs_1d, E=0.0):
+    # 1.2 Q with an inward quadratic phase: an adaptive-dt run toward collapse
+    grid = GridSpec.create(1, 13.0, 2048)
+    x = grid.axis_coordinates(0)
+    from starknls.ground_state import radial_interpolant
+
+    q = radial_interpolant(gs_1d)(np.abs(x))
+    return make_state(grid, 1.2 * q * np.exp(-1j * x**2 / 4), a=0.01, E=(E,))
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("E", [0.0, 0.3])
+    def test_sample_cadence_keeps_trajectory(self, gs_1d, E):
+        state = small_collapse_state(gs_1d, E)
+        ctrl = StepController(grad_stop=60.0)
+        runs = [
+            evolve(state, 5.0, ctrl, DiagnosticHooks(sample_every_steps=every))
+            for every in (1, 7)
+        ]
+        (f1, tr1), (f7, tr7) = runs
+        assert tr1.stop_reason is StopReason.GRAD_THRESHOLD
+        assert f1.step_count == f7.step_count > 50
+        assert np.max(np.abs(np.diff(tr1.dt_series[1:]))) > 0  # dt adapts
+        assert f1.t == f7.t
+        assert rel_l2(f7.field, f1.field.data) < 1e-12
+        assert rel_l2(f7.observed_field(), f1.observed_field().data) < 1e-12
+
+    def test_transform_budget(self, gs_1d, fft_calls, monkeypatch):
+        # E = 0: two transforms per step, one per sample, and the initial
+        # spectrum; the observers reuse the kernel's spectrum
+        state = small_collapse_state(gs_1d)
+        real_sample = diagnostics.sample
+        in_sample = []
+
+        def complex_calls():
+            return sum(fft_calls[k] for k in COMPLEX_FFTS)
+
+        def counted_sample(*args, **kwargs):
+            before = complex_calls()
+            out = real_sample(*args, **kwargs)
+            in_sample.append(complex_calls() - before)
+            return out
+
+        monkeypatch.setattr(diagnostics, "sample", counted_sample)
+        final, traj = evolve(state, 5.0, StepController(grad_stop=60.0),
+                             DiagnosticHooks(sample_every_steps=3))
+        steps, samples = final.step_count, len(traj.samples)
+        assert steps > 50 and samples == len(in_sample)
+        assert complex_calls() <= 2 * steps + samples + 2
+        assert in_sample == [0] * samples
+
+    def test_observed_states_match_repeated_strang_step(self, gs_1d):
+        # every sampled or snapshotted field has received its owed half-step:
+        # replaying the run's dt series through strang_step gives the same
+        # states. strang_step takes its mass reference from each step's own
+        # spectrum, so the two differ by round-off grown over the collapse
+        # (2.6e-11 at the end); a missing half-step shows as 7e-4 to 9e-2.
+        state = small_collapse_state(gs_1d)
+        hooks = DiagnosticHooks(sample_every_steps=1, snapshot_every_steps=10)
+        final, traj = evolve(state, 5.0, StepController(grad_stop=60.0), hooks)
+        snaps = {round(s.t, 12): s.field for s in traj.snapshots}
+        checked = 0
+        for dt in traj.dt_series[1:]:
+            state = strang_step(state, dt)
+            snap = snaps.get(round(state.t, 12))
+            if snap is not None:
+                assert rel_l2(snap, state.field.data) < 1e-9
+                checked += 1
+        assert checked == len(traj.snapshots) - 1  # all but the initial one
+        assert rel_l2(final.field, state.field.data) < 1e-9
