@@ -27,7 +27,6 @@ from .spectral import (
     laplacian,
     lp_norm,
     momentum,
-    spectral_fill_fraction,
 )
 from .ground_state import (
     GroundState,
@@ -143,7 +142,6 @@ __all__ = [
     "read_trajectory_csv",
     "run_scenario",
     "sample",
-    "spectral_fill_fraction",
     "stark_substep_direct",
     "strang_step",
     "sup_mass_in_window",

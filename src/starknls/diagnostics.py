@@ -89,17 +89,20 @@ class BlowupReport:
 
 
 def sample(
-    u: Field, t: float, params: PhysParams, power: np.ndarray | None = None
+    u: Field, t: float, params: PhysParams,
+    power: np.ndarray | None = None, density: np.ndarray | None = None,
 ) -> DiagnosticsSample:
     """Evaluate every observable on a (physical-frame) field.
 
-    power is |u_hat|^2 of the unitary spectrum of u, if the caller already
-    has it; otherwise it is computed here with one transform.
+    power is |u_hat|^2 of the unitary spectrum of u, and density is |u|^2,
+    if the caller already has them; otherwise power is computed here with
+    one transform.
     """
     grid = u.grid
     vol = grid.cell_volume
     data = u.data
-    density = np.abs(data) ** 2
+    if density is None:
+        density = np.abs(data) ** 2
     mass_sq = float(np.sum(density) * vol)
 
     if power is None:
@@ -108,7 +111,11 @@ def sample(
     mom = power_momentum(power, grid)
 
     p = params.p
-    lp_sum = float(np.sum(density ** ((p + 1.0) / 2.0)) * vol)
+    if p == 5.0:  # ** 3.0 would go through pow; numpy squares ** 2.0 (p = 3) itself
+        lp_density = density * density * density
+    else:
+        lp_density = density ** ((p + 1.0) / 2.0)
+    lp_sum = float(np.sum(lp_density) * vol)
     e0 = grad_sq - 2.0 / (p + 1.0) * lp_sum
 
     stark_moment = 0.0

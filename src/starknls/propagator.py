@@ -39,6 +39,7 @@ from .spectral import (
     Field,
     PhysParams,
     _cis,
+    _keep_transform_scratch,
     boundary_mass_fraction,
     power_fill_fraction,
     power_momentum,
@@ -180,8 +181,17 @@ class TrajectoryRecord:
 
 
 def _kinetic_multiplier(k_sq: np.ndarray, tau: float, out=None) -> np.ndarray:
-    """Free flow over tau: exp(-i |k|^2 tau) per mode."""
-    return _cis(k_sq * -tau, out=out)
+    """Free flow over tau: exp(-i |k|^2 tau) per mode.
+
+    k_sq is bitwise even in the last-axis wavenumber, so cos/sin run on the
+    modes 0..N/2 of that axis and the negative ones are mirrored from them.
+    """
+    if out is None:
+        out = np.empty(k_sq.shape, dtype=np.complex128)
+    h = k_sq.shape[-1] // 2 + 1
+    _cis(k_sq[..., :h] * -tau, out=out[..., :h])
+    out[..., h:] = out[..., 1 : h - 1][..., ::-1]
+    return out
 
 
 def _nonlinear_factor(data, tau, a, p, nl_strength=1.0, potential=None):
@@ -257,6 +267,7 @@ class _Stepper:
     """
 
     def __init__(self, state: SimState):
+        _keep_transform_scratch()
         grid = state.field.grid
         self.params = state.params
         self.vol = grid.cell_volume
@@ -427,10 +438,13 @@ def evolve(
             u_phys = Field(grid, np.fft.ifftn(spec, norm="ortho"))
             power = kernel.power
         if due_sample:
-            traj.samples.append(diagnostics.sample(u_phys, t, s.params, power=power))
+            density = np.abs(u_phys.data) ** 2
+            traj.samples.append(
+                diagnostics.sample(u_phys, t, s.params, power=power, density=density)
+            )
             traj.dt_series.append(dt_used)
             traj.fill_series.append(fill)
-            bmass = boundary_mass_fraction(u_phys)
+            bmass = boundary_mass_fraction(u_phys, density)
             if bmass > _BOUNDARY_SEAM_LIMIT:
                 traj.warn_once("seam_contamination", t)
             elif bmass > _BOUNDARY_SOFT_LIMIT:

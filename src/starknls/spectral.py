@@ -14,8 +14,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -267,6 +268,40 @@ def _cis(phase: np.ndarray, scale: float = 1.0, out: np.ndarray | None = None):
     return out
 
 
+_M_TRIM_THRESHOLD = -1  # mallopt parameter numbers (glibc malloc.h)
+_M_MMAP_THRESHOLD = -3
+_SCRATCH_MMAP_THRESHOLD = 32 << 20  # glibc's ceiling for its dynamic threshold
+_SCRATCH_TRIM_THRESHOLD = 64 << 20  # 2x, the ratio of glibc's dynamic rule
+
+
+@cache
+def _keep_transform_scratch() -> bool:
+    """Keep numpy.fft's per-call work buffer mapped between transforms.
+
+    numpy.fft allocates and frees about 2 MB of scratch per call at
+    N = 65536 (also with out=); under glibc's default policy it is faulted
+    back in on every call, 480 minor faults. Pinning the mmap and trim
+    thresholds, at values glibc's dynamic policy can itself reach, keeps it
+    mapped (docs/DECISIONS.md).
+
+    A process-wide side effect on the C allocator, applied once per process.
+    Returns whether it was applied: without mallopt (not glibc), or when
+    glibc rejects the value, nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # mallopt returns 0 when it rejects a value; the trim threshold is only
+    # raised together with the mmap threshold
+    return bool(
+        mallopt(_M_MMAP_THRESHOLD, _SCRATCH_MMAP_THRESHOLD)
+        and mallopt(_M_TRIM_THRESHOLD, _SCRATCH_TRIM_THRESHOLD)
+    )
+
+
 def forward_transform(field: Field) -> SpectralField:
     """Unitary DFT of a field. Raises DivergedFieldError on non-finite input."""
     if not field.is_finite():
@@ -336,25 +371,25 @@ def power_momentum(power: np.ndarray, grid: GridSpec) -> tuple[float, ...]:
     return tuple(float(np.sum(kg * power) * vol) for kg in grid.wavenumber_grids)
 
 
-def spectral_fill_fraction(spec: SpectralField) -> float:
-    """Fraction of total mass carried by the top 1/8 of the spectrum.
+def power_fill_fraction(power: np.ndarray, grid: GridSpec) -> float:
+    """Fraction of total mass carried by the top 1/8 of the spectrum, from
+    the power spectrum |u_hat|^2 of a field.
 
     The high band is |k| >= (7/8) of the smallest per-axis Nyquist wavenumber.
     Values near 1 mean the grid resolution is exhausted.
     """
-    return power_fill_fraction(np.abs(spec.coefficients) ** 2, spec.grid)
-
-
-def power_fill_fraction(power: np.ndarray, grid: GridSpec) -> float:
-    """spectral_fill_fraction from the power spectrum |u_hat|^2 of a field."""
     total = float(np.sum(power))
     return float(np.sum(power[grid._high_band_mask]) / total) if total else 0.0
 
 
-def boundary_mass_fraction(field: Field) -> float:
-    """Fraction of the L2 mass inside the outer 1/16 shell of the box."""
-    power = np.abs(field.data) ** 2
-    total = float(np.sum(power))
+def boundary_mass_fraction(field: Field, density: np.ndarray | None = None) -> float:
+    """Fraction of the L2 mass inside the outer 1/16 shell of the box.
+
+    density is |u|^2 of the field, if the caller already has it.
+    """
+    if density is None:
+        density = np.abs(field.data) ** 2
+    total = float(np.sum(density))
     if total == 0.0:
         return 0.0
-    return float(np.sum(power[field.grid._boundary_mask]) / total)
+    return float(np.sum(density[field.grid._boundary_mask]) / total)

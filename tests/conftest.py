@@ -1,7 +1,19 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import starknls
 from starknls import GridSpec, Field, cached_ground_state
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that imports the starknls under
+    test, installed or not."""
+    src = str(Path(starknls.__file__).resolve().parents[1])
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
 
 
 @pytest.fixture(scope="session")

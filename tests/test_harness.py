@@ -20,6 +20,8 @@ from starknls.cli import main as cli_main
 from starknls.errors import BracketError, ConfigError
 from starknls.storage import read_trajectory_csv
 
+from conftest import child_env
+
 BASE = """
 [scenario]
 id = base
@@ -486,7 +488,7 @@ class TestCLI:
     def test_console_script_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "starknls.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         assert "ground-state" in proc.stdout

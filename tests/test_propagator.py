@@ -5,6 +5,13 @@ Gaussian  u(t,x) = s0 (s0^2 + 2 i t)^(-1/2) exp(-x^2 / (2 (s0^2 + 2 i t)))
 for u0 = exp(-x^2 / (2 s0^2)), and exact exponential damping factors.
 """
 
+import ctypes
+import platform
+import subprocess
+import sys
+import textwrap
+import types
+
 import numpy as np
 import pytest
 
@@ -28,7 +35,10 @@ from starknls import (
     strang_step,
 )
 
-from conftest import COMPLEX_FFTS, random_band_limited_field
+from starknls import spectral
+from starknls.propagator import _kinetic_multiplier, _Stepper
+
+from conftest import COMPLEX_FFTS, child_env, random_band_limited_field
 
 
 def rel_l2(a: Field, b_data) -> float:
@@ -382,3 +392,89 @@ class TestFusedKernel:
                 checked += 1
         assert checked == len(traj.snapshots) - 1  # all but the initial one
         assert rel_l2(final.field, state.field.data) < 1e-9
+
+
+class TestKineticMultiplier:
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GridSpec.create(1, 13.0, 65536),
+            GridSpec.create(2, (10.0, 7.0), (64, 32)),
+            GridSpec.create(3, 5.0, 16),
+            GridSpec.create(1, 1.0, 2),
+        ],
+        ids=["1d-65536", "2d-64x32", "3d-16", "1d-2"],
+    )
+    @pytest.mark.parametrize("tau", [0.37, 1.234e-5])
+    def test_mirrored_half_is_bit_identical(self, grid, tau):
+        # cos/sin on the modes 0..N/2 of the last axis, the rest mirrored
+        full = spectral._cis(grid.k_sq * -tau)
+        half = _kinetic_multiplier(grid.k_sq, tau)
+        assert np.array_equal(half.view(np.float64), full.view(np.float64))
+
+
+class TestTransformScratch:
+    @pytest.fixture
+    def fresh_helper(self):
+        # the helper runs once per process; forget that around the test, so
+        # the next kernel applies the real setting again
+        spectral._keep_transform_scratch.cache_clear()
+        yield spectral._keep_transform_scratch
+        spectral._keep_transform_scratch.cache_clear()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+    def test_step_takes_no_page_faults(self):
+        # under glibc's default policy numpy.fft's ~2 MB work buffer at
+        # N = 65536 is faulted back in on every transform, ~1,470 faults per
+        # step. A fresh interpreter, because large frees earlier in this
+        # process move glibc's dynamic thresholds.
+        script = textwrap.dedent(
+            """
+            import resource
+            import numpy as np
+            from starknls import Field, GridSpec, PhysParams, SimState
+            from starknls.propagator import _Stepper
+
+            grid = GridSpec.create(1, 13.0, 65536)
+            x = grid.axis_coordinates(0)
+            field = Field(grid, 1.2 * np.exp(-(x**2)) + 0j)
+            state = SimState(t=0.0, field=field, params=PhysParams(n=1, a=0.01))
+            kernel = _Stepper(state)
+            for _ in range(3):
+                kernel.step(1e-4)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for dt in np.linspace(1e-4, 5e-5, 20):  # a new multiplier every step
+                kernel.step(float(dt))
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            """
+        )
+        out = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                             check=True, capture_output=True, text=True, timeout=120)
+        assert int(out.stdout) / 20 <= 50
+
+    def test_libc_without_mallopt_is_a_no_op(self, fresh_helper, monkeypatch):
+        opened = []
+
+        def no_mallopt(name):
+            opened.append(name)
+            return types.SimpleNamespace()
+
+        monkeypatch.setattr(ctypes, "CDLL", no_mallopt)
+        assert fresh_helper() is False
+        assert fresh_helper() is False
+        assert opened == [None]
+
+    @pytest.mark.parametrize("accepted", [True, False])
+    def test_mallopt_result_is_checked(self, fresh_helper, monkeypatch, accepted):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return int(accepted)
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        assert fresh_helper() is accepted
+        mmap_call = (spectral._M_MMAP_THRESHOLD, 32 << 20)
+        trim_call = (spectral._M_TRIM_THRESHOLD, 64 << 20)
+        # a rejected mmap threshold leaves the trim threshold alone
+        assert calls == ([mmap_call, trim_call] if accepted else [mmap_call])
