@@ -3,7 +3,7 @@ nonlinear Schroedinger equation with a uniform-field (Stark) potential.
 
 Core layers:
 
-* spectral: periodic grids, fields, unitary FFTs, the Laplacian, norms.
+* spectral: periodic grids, fields, norms and spectral observables.
 * ground_state: solitary profiles via Petviashvili iteration, thresholds.
 * gauge: accelerated-frame transforms and the pseudo-conformal profile.
 * propagator: Strang split-step evolution with adaptive collapse stepping.
@@ -16,16 +16,11 @@ from .spectral import (
     Field,
     GridSpec,
     PhysParams,
-    SpectralField,
     boundary_mass_fraction,
-    forward_transform,
     grad_norm_sq,
     inner,
-    inverse_transform,
     l2_norm,
     l2_norm_sq,
-    laplacian,
-    lp_norm,
     momentum,
 )
 from .ground_state import (
@@ -103,7 +98,6 @@ __all__ = [
     "ScenarioConfig",
     "SimState",
     "Snapshot",
-    "SpectralField",
     "StepController",
     "StopReason",
     "SweepSpec",
@@ -122,17 +116,13 @@ __all__ = [
     "convergence_study",
     "detect_blowup_and_fit",
     "evolve",
-    "forward_transform",
     "grad_norm_sq",
     "ground_state_1d_exact",
     "ground_state_energy",
     "inner",
-    "inverse_transform",
     "kinetic_substep",
     "l2_norm",
     "l2_norm_sq",
-    "laplacian",
-    "lp_norm",
     "mass_in_window",
     "momentum",
     "nonlinear_damped_substep",

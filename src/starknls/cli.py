@@ -92,7 +92,13 @@ def _cmd_fit_blowup(args) -> int:
     cols = read_trajectory_csv(csv_path)
     stop = args.stop_reason
     if stop is None and target.is_dir():
-        summary = (target / "summary.csv").read_text().splitlines()
+        try:
+            summary = (target / "summary.csv").read_text().splitlines()
+        except OSError as exc:
+            raise StarkNLSError(
+                f"{target}: cannot read summary.csv ({exc.strerror}); "
+                "supply --stop-reason"
+            ) from None
         for line in summary:
             if line.startswith("stop_reason,"):
                 stop = line.split(",", 1)[1]

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ResolutionError
+from .errors import ConfigError, ResolutionError, StarkNLSError
 from .ground_state import GroundState, cached_ground_state
 from .gauge import PseudoConformalParams, pseudo_conformal_profile
 from .propagator import Backend, DiagnosticHooks, StepController
@@ -247,8 +247,11 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
-        path = Path(path)
-        return cls.from_text(path.read_text(), source=str(path))
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read config ({exc.strerror})") from None
+        return cls.from_text(text, source=str(path))
 
     def apply_overrides(self, assignments: list[str]) -> "ScenarioConfig":
         """Apply 'section.key=value' command-line overrides and revalidate."""
@@ -355,7 +358,10 @@ class ScenarioConfig:
         rp = self.recipe_params
         x0 = np.broadcast_to(np.asarray(rp["x0"], dtype=float), (self.n,))
         if self.recipe == "snapshot":
-            u0 = read_snapshot(rp["path"])
+            try:
+                u0 = read_snapshot(rp["path"])
+            except StarkNLSError as exc:
+                raise ConfigError(f"[initial] snapshot: {exc}") from None
             if u0.grid != grid:
                 raise ConfigError(
                     f"[initial] snapshot grid {u0.grid!r} does not match [grid] {grid!r}"

@@ -23,11 +23,10 @@ damping a (adjudicated empirically by the checkers):
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import InsufficientDataError, NoBoundError, ResolutionError
 from .spectral import Field, PhysParams, power_momentum
@@ -276,6 +275,114 @@ def check_momentum_law(traj, params: PhysParams) -> LawCheckReport:
 # ---------------------------------------------------------------------------
 
 
+_GOLDEN_MEAN = 0.5 * (3.0 - sqrt(5.0))
+_SQRT_EPS = sqrt(2.2e-16)
+_XATOL = 1e-14
+_MAXFUN = 500
+
+
+def _minimize_bounded(func, x1, x2):
+    """Minimizer of func on [x1, x2] by Brent's bounded method: golden-section
+    steps with parabolic interpolation (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5).
+
+    A step-for-step port of scipy.optimize._optimize._minimize_scalar_bounded
+    (SciPy, BSD-3-Clause; copyright 2001-2002 Enthought, Inc., 2003 SciPy
+    Developers), with the same constants and arithmetic, so x is bit-identical
+    to minimize_scalar(func, bounds=(x1, x2), method="bounded",
+    options={"xatol": 1e-14}).x; disp and the result object are dropped.
+
+    The search stops once the bracket lies within 2 tol1 of x, where
+    tol1 = sqrt(2.2e-16) |x| + xatol / 3, or after 500 evaluations. The
+    effective tolerance is therefore about 1.5e-8 |x|: the relative term
+    outweighs xatol = 1e-14 for |x| above 1e-6 (3.4e-9 at the collapse
+    fixture's T* = 0.23).
+    """
+    if not (np.size(x1) == 1 and np.isfinite(x1)
+            and np.size(x2) == 1 and np.isfinite(x2)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if x1 > x2:
+        raise ValueError("The lower bound exceeds the upper bound.")
+
+    a, b = x1, x2
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * np.abs(xf) + _XATOL / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # parabolic fit through the three best points
+        if np.abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+
+            # accept the parabola only inside the bracket and shrinking
+            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf))
+                    and (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = 1
+
+        if golden:
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = _GOLDEN_MEAN * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + _XATOL / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= _MAXFUN:
+            break
+
+    return xf
+
+
 def _profiled_loglog_fit(t, gsq):
     """Fit grad_sq = C loglog(1/(T-t)) / (T-t) by least squares on
     log grad_sq; log C is profiled out, leaving a 1-d search over T*."""
@@ -293,14 +400,9 @@ def _profiled_loglog_fit(t, gsq):
         r = r - r.mean()
         return float(np.sum(r * r))
 
-    res = minimize_scalar(
-        objective,
-        bounds=(t_last + 1e-12, t_last + span),
-        method="bounded",
-        options={"xatol": 1e-14},
-    )
-    rms = np.sqrt(objective(res.x) / len(t))
-    return float(res.x), float(rms)
+    T = _minimize_bounded(objective, t_last + 1e-12, t_last + span)
+    rms = np.sqrt(objective(T) / len(t))
+    return float(T), float(rms)
 
 
 def _profiled_power_fit(t, gnorm, gamma=None):
@@ -327,16 +429,11 @@ def _profiled_power_fit(t, gnorm, gamma=None):
             return 1e300
         return regress(T)[1]
 
-    res = minimize_scalar(
-        objective,
-        bounds=(t_last + 1e-12, t_last + span),
-        method="bounded",
-        options={"xatol": 1e-14},
-    )
-    coef, ss = regress(res.x)
+    T = _minimize_bounded(objective, t_last + 1e-12, t_last + span)
+    coef, ss = regress(T)
     # residual in log grad_sq units for comparability with the loglog model
     rms = np.sqrt(4.0 * ss / len(t))
-    return float(res.x), float(coef[1]), float(rms)
+    return float(T), float(coef[1]), float(rms)
 
 
 def detect_blowup_and_fit(traj) -> BlowupReport:

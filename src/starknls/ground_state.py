@@ -22,7 +22,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DegenerateSeedError, IterationError, ResolutionError
 from .spectral import Field, GridSpec, l2_norm_sq
@@ -203,7 +202,11 @@ def radial_interpolant(gs: GroundState):
     Samples the profile along the first axis from the box center outward
     (the profile is radial, so one ray determines it). Evaluations beyond
     the sampled radius return 0, consistent with the exponential decay.
+    scipy is imported here, not with the package, so that only the
+    pseudo-conformal profile pays for its import (docs/DECISIONS.md).
     """
+    from scipy.interpolate import CubicSpline
+
     grid = gs.profile.grid
     center = tuple(s // 2 for s in grid.shape)
     ray = gs.profile.data.real[center[:-1] + (slice(center[-1], None),)]

@@ -20,7 +20,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import DivergedFieldError, GridMismatchError
+from .errors import GridMismatchError
 
 
 def _as_tuple(value, n, cast):
@@ -187,25 +187,6 @@ class Field:
         return f"Field(grid={self.grid!r})"
 
 
-class SpectralField:
-    """Unitary-normalized Fourier coefficients of a Field, FFT layout."""
-
-    __slots__ = ("grid", "coefficients")
-
-    def __init__(self, grid: GridSpec, coefficients: np.ndarray):
-        coefficients = np.ascontiguousarray(coefficients, dtype=np.complex128)
-        if coefficients.shape != grid.shape:
-            raise GridMismatchError(
-                f"coefficient shape {coefficients.shape} != grid shape {grid.shape}"
-            )
-        coefficients.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "coefficients", coefficients)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpectralField is immutable")
-
-
 @dataclass(frozen=True)
 class PhysParams:
     """Physical parameters of the damped focusing equation with uniform field.
@@ -244,10 +225,6 @@ class PhysParams:
     @property
     def E_norm(self) -> float:
         return float(np.sqrt(sum(e * e for e in self.E)))
-
-    @property
-    def is_critical(self) -> bool:
-        return abs(self.p - (1.0 + 4.0 / self.n)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -302,24 +279,6 @@ def _keep_transform_scratch() -> bool:
     )
 
 
-def forward_transform(field: Field) -> SpectralField:
-    """Unitary DFT of a field. Raises DivergedFieldError on non-finite input."""
-    if not field.is_finite():
-        raise DivergedFieldError("field contains non-finite samples")
-    return SpectralField(field.grid, np.fft.fftn(field.data, norm="ortho"))
-
-
-def inverse_transform(spec: SpectralField) -> Field:
-    return Field(spec.grid, np.fft.ifftn(spec.coefficients, norm="ortho"))
-
-
-def laplacian(field: Field) -> Field:
-    """Spectral Laplacian: multiplier -|k|^2 per mode."""
-    spec = forward_transform(field)
-    out = np.fft.ifftn(-spec.grid.k_sq * spec.coefficients, norm="ortho")
-    return Field(field.grid, out)
-
-
 # ---------------------------------------------------------------------------
 # Norms, inner products, quadrature
 # ---------------------------------------------------------------------------
@@ -334,12 +293,6 @@ def l2_norm(field: Field) -> float:
     return float(np.sqrt(l2_norm_sq(field)))
 
 
-def lp_norm(field: Field, q: float) -> float:
-    """L^q norm, (integral |f|^q dx)^(1/q)."""
-    s = np.sum(np.abs(field.data) ** q) * field.grid.cell_volume
-    return float(s ** (1.0 / q))
-
-
 def inner(f: Field, g: Field) -> complex:
     """L2 inner product, conjugate-linear in the first argument."""
     if f.grid is not g.grid and f.grid != g.grid:
@@ -352,16 +305,13 @@ def grad_norm_sq(field: Field) -> float:
 
     Computed spectrally via Parseval as sum_k |k|^2 |f_hat(k)|^2 dx^n.
     """
-    spec = forward_transform(field)
-    return float(
-        np.sum(spec.grid.k_sq * np.abs(spec.coefficients) ** 2)
-        * field.grid.cell_volume
-    )
+    power = np.abs(np.fft.fftn(field.data, norm="ortho")) ** 2
+    return float(np.sum(field.grid.k_sq * power) * field.grid.cell_volume)
 
 
 def momentum(field: Field) -> tuple[float, ...]:
     """Im integral(conj(u) grad u) per axis, computed as sum k |u_hat|^2."""
-    power = np.abs(forward_transform(field).coefficients) ** 2
+    power = np.abs(np.fft.fftn(field.data, norm="ortho")) ** 2
     return power_momentum(power, field.grid)
 
 

@@ -58,7 +58,10 @@ def write_snapshot(path, field: Field) -> None:
 def read_snapshot(path) -> Field:
     """Read a snapshot; a bad magic, version, dimension or grid, or a header
     or payload of the wrong length, raises StarkNLSError naming the file."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise StarkNLSError(f"{path}: cannot read snapshot ({exc.strerror})") from None
     if raw[:4] != SNAPSHOT_MAGIC:
         raise StarkNLSError(f"{path}: not a field snapshot (bad magic)")
     if len(raw) < 8:
@@ -115,11 +118,14 @@ def read_trajectory_csv(path):
     Returns a dict of column name -> ndarray. Quantities not stored in the
     file (lp_sum, stark_moment) are reconstructed from the definitional
     identities EV = E0 + stark_moment and E0 = grad_sq - (2/(p+1)) lp_sum
-    by the caller, which knows p.
+    by the caller, which knows p. An unreadable file raises StarkNLSError.
     """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except OSError as exc:
+        raise StarkNLSError(f"{path}: cannot read trajectory ({exc.strerror})") from None
     if data.shape[1] != len(header):
         raise StarkNLSError(f"{path}: column count mismatch")
     return {name: data[:, i].copy() for i, name in enumerate(header)}

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from starknls import (
     Backend,
@@ -21,7 +22,8 @@ from starknls import (
     sup_mass_in_window,
     t_star_upper_bound,
 )
-from starknls.diagnostics import DiagnosticsSample
+from starknls import diagnostics
+from starknls.diagnostics import DiagnosticsSample, _minimize_bounded
 from starknls.errors import InsufficientDataError, NoBoundError, ResolutionError
 
 from conftest import random_band_limited_field
@@ -195,17 +197,21 @@ def synthetic_trajectory(t, gsq, stop=StopReason.GRAD_THRESHOLD):
     return traj
 
 
+def manufactured_window(law):
+    """Collapse window with T* = 1 and 1% noise: grad_sq following the
+    loglog law C loglog(1/(T-t))/(T-t) (C = 1), or the bare self-similar
+    rate 1/(T-t)."""
+    rng = np.random.default_rng(42)
+    sigma = np.geomspace(1e-6, 0.2, 200)[::-1]
+    gsq = np.log(np.log(1.0 / sigma)) / sigma if law == "loglog" else 1.0 / sigma
+    return 1.0 - sigma, gsq * (1.0 + 0.01 * rng.standard_normal(sigma.size))
+
+
 class TestBlowupFit:
     def test_manufactured_loglog(self):
-        rng = np.random.default_rng(42)
-        T_true, C = 1.0, 1.0
-        sigma = np.geomspace(1e-6, 0.2, 200)[::-1]
-        t = T_true - sigma
-        gsq = C * np.log(np.log(1.0 / sigma)) / sigma
-        gsq = gsq * (1.0 + 0.01 * rng.standard_normal(sigma.size))
-        rep = detect_blowup_and_fit(synthetic_trajectory(t, gsq))
+        rep = detect_blowup_and_fit(synthetic_trajectory(*manufactured_window("loglog")))
         assert rep.blew_up
-        assert rep.T_star_est == pytest.approx(T_true, abs=1e-3)
+        assert rep.T_star_est == pytest.approx(1.0, abs=1e-3)
         assert rep.rate_exponent == pytest.approx(0.5, abs=0.03)
         assert rep.loglog_residual <= rep.power_residual
         assert rep.loglog_residual <= rep.sqrt_rate_residual
@@ -215,11 +221,7 @@ class TestBlowupFit:
         # the self-similar rate (T-t)^(-1/2) with no loglog correction: the
         # loglog-against-sqrt-rate comparison of acceptance criterion 9 must
         # go the other way here, so that check can fail
-        rng = np.random.default_rng(42)
-        sigma = np.geomspace(1e-6, 0.2, 200)[::-1]
-        t = 1.0 - sigma
-        gsq = (1.0 / sigma) * (1.0 + 0.01 * rng.standard_normal(sigma.size))
-        rep = detect_blowup_and_fit(synthetic_trajectory(t, gsq))
+        rep = detect_blowup_and_fit(synthetic_trajectory(*manufactured_window("sqrt")))
         assert rep.rate_exponent == pytest.approx(0.5, abs=0.01)
         assert rep.sqrt_rate_residual < rep.loglog_residual
         assert not rep.fit_unreliable
@@ -254,6 +256,63 @@ class TestBlowupFit:
         t = 1.0 - sigma
         rep = detect_blowup_and_fit(synthetic_trajectory(t, 1.0 / sigma))
         assert rep.fit_unreliable
+
+
+def assert_same_search(func, x1, x2):
+    """The port evaluates func at the same points as scipy's bounded method
+    with xatol = 1e-14, and returns the same x, bit for bit. Returns the
+    number of evaluations."""
+    port_points, ref_points = [], []
+
+    def recorded(points):
+        def f(x):
+            points.append(float(x).hex())
+            return func(x)
+        return f
+
+    x = _minimize_bounded(recorded(port_points), x1, x2)
+    ref = minimize_scalar(recorded(ref_points), bounds=(x1, x2), method="bounded",
+                          options={"xatol": 1e-14})
+    assert port_points == ref_points
+    assert float(x).hex() == float(ref.x).hex()
+    return len(port_points)
+
+
+class TestBoundedMinimizer:
+    """The port of scipy's bounded Brent method against scipy itself."""
+
+    @pytest.mark.parametrize("law", ["loglog", "sqrt"])
+    def test_fit_objectives_match_scipy(self, law, monkeypatch):
+        searched = []
+
+        def checked(func, x1, x2):
+            searched.append(assert_same_search(func, x1, x2))
+            return _minimize_bounded(func, x1, x2)
+
+        monkeypatch.setattr(diagnostics, "_minimize_bounded", checked)
+        detect_blowup_and_fit(synthetic_trajectory(*manufactured_window(law)))
+        # the loglog fit, the free power fit and the gamma = 1/2 power fit
+        assert len(searched) == 3
+
+    def test_parabola(self):
+        assert_same_search(lambda x: (x - 0.3) ** 2, 0.0, 1.0)
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0])
+    def test_minimum_at_a_bound(self, slope):
+        assert_same_search(lambda x: slope * x, 0.5, 2.0)
+
+    def test_evaluation_budget(self):
+        # a minimum at 0 inside a 3e130 bracket is not reached in 500 steps
+        assert assert_same_search(lambda x: np.log1p(abs(x)), -1e130, 2e130) == 500
+
+    @pytest.mark.parametrize(
+        "bounds", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0), (2.0, 1.0)]
+    )
+    def test_bad_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError):
+            _minimize_bounded(abs, *bounds)
+        with pytest.raises(ValueError):
+            minimize_scalar(abs, bounds=bounds, method="bounded")
 
 
 class TestMassWindows:

@@ -213,6 +213,15 @@ class TestRunScenario:
         v0 = cfg2.build_initial_field()
         assert np.array_equal(u0.data, v0.data)
 
+    def test_snapshot_recipe_missing_file(self, tmp_path):
+        text = with_initial(
+            BASE.replace("recipe = gaussian", "recipe = snapshot"),
+            path=tmp_path / "absent.dnls",
+        )
+        cfg = ScenarioConfig.from_text(text)
+        with pytest.raises(ConfigError, match="absent.dnls"):
+            cfg.build_initial_field()
+
 
 class TestThresholdScan:
     def test_classification(self):
@@ -407,6 +416,35 @@ class TestCLI:
         rc = cli_main(["run", str(cfg_path)])
         assert rc == 1
 
+    def assert_clean_error(self, argv, name, capsys):
+        """The verb fails with one 'error:' line naming the file."""
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and name in err
+
+    def test_run_verb_missing_config(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.cfg")
+        self.assert_clean_error(["run", missing], missing, capsys)
+
+    def test_run_verb_missing_snapshot(self, tmp_path, capsys):
+        cfg_path = tmp_path / "snap.cfg"
+        cfg_path.write_text(with_initial(
+            BASE.replace("recipe = gaussian", "recipe = snapshot"),
+            path=tmp_path / "absent.dnls",
+        ))
+        self.assert_clean_error(["run", str(cfg_path)], "absent.dnls", capsys)
+
+    def test_fit_blowup_missing_path(self, tmp_path, capsys):
+        missing = str(tmp_path / "nowhere" / "trajectory.csv")
+        self.assert_clean_error(["fit-blowup", missing], missing, capsys)
+
+    def test_fit_blowup_bundle_without_summary(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        run_scenario(ScenarioConfig.from_text(BASE), out_dir=out)
+        (out / "summary.csv").unlink()
+        self.assert_clean_error(["fit-blowup", str(out)], "summary.csv", capsys)
+
     def test_fit_blowup_verb(self, tmp_path, capsys):
         text = BASE.replace("recipe = gaussian", "recipe = quadratic_phase_q")
         text = text.replace("N = 512", "N = 8192").replace("L = 20", "L = 13")
@@ -484,6 +522,14 @@ class TestCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "bracket" in out and "monotone outcome pattern: True" in out
+
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, starknls, starknls.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_console_script_installed(self):
         proc = subprocess.run(
