@@ -28,7 +28,7 @@ from . import diagnostics, harness
 from .config import ScenarioConfig
 from .errors import StarkNLSError
 from .ground_state import ground_state_energy, petviashvili
-from .propagator import StopReason
+from .propagator import BLOWUP_STOPS, StopReason
 from .spectral import GridSpec
 from .storage import (
     fmt_float,
@@ -90,6 +90,9 @@ def _cmd_fit_blowup(args) -> int:
     target = Path(args.target)
     csv_path = target / "trajectory.csv" if target.is_dir() else target
     cols = read_trajectory_csv(csv_path)
+    missing = [name for name in ("t", "grad_norm_sq") if name not in cols]
+    if missing:
+        raise StarkNLSError(f"{csv_path}: no {' or '.join(missing)} column")
     stop = args.stop_reason
     if stop is None and target.is_dir():
         try:
@@ -106,12 +109,14 @@ def _cmd_fit_blowup(args) -> int:
         print("error: supply --stop-reason for a bare trajectory CSV",
               file=sys.stderr)
         return 1
+    try:
+        reason = StopReason(stop)  # argparse checks --stop-reason itself
+    except ValueError:
+        raise StarkNLSError(f"{target}: unknown stop_reason {stop!r}") from None
 
     class _TrajView:
-        stop_reason = StopReason(stop)
-        blew_up = StopReason(stop) in (
-            StopReason.GRAD_THRESHOLD, StopReason.SPECTRAL_FILL
-        )
+        stop_reason = reason
+        blew_up = reason in BLOWUP_STOPS
 
         @staticmethod
         def column(name):

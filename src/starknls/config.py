@@ -377,10 +377,8 @@ class ScenarioConfig:
             except ResolutionError as exc:
                 raise ConfigError(f"[initial] {exc}") from None
 
-        r_sq = np.zeros(grid.shape)
-        for xg, c in zip(grid.coordinate_grids, x0):
-            r_sq = r_sq + (xg - c) ** 2
         if self.recipe == "gaussian":
+            r_sq = grid.distance_sq(x0)
             envelope = rp["amplitude"] * np.exp(-r_sq / (2.0 * rp["width"] ** 2))
             return Field(grid, envelope * np.exp(1j * grid.linear_phase(rp["k0"])))
         gs = self.ground_state()
@@ -388,7 +386,7 @@ class ScenarioConfig:
         if self.recipe == "scaled_q":
             return Field(grid, base.astype(np.complex128))
         # quadratic_phase_q: inward quadratic phase exp(-i b |x-x0|^2 / 4)
-        return Field(grid, base * np.exp(-1j * rp["b"] * r_sq / 4.0))
+        return Field(grid, base * np.exp(-1j * rp["b"] * grid.distance_sq(x0) / 4.0))
 
     # ---- canonical serialization ---------------------------------------------
 

@@ -29,7 +29,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import InsufficientDataError, NoBoundError, ResolutionError
-from .spectral import Field, PhysParams, power_momentum
+from .spectral import Field, PhysParams, _weighted_sum, power_momentum
 
 # fit-window policy: samples with grad_norm at least this factor above the
 # trajectory minimum belong to the collapse window
@@ -90,30 +90,38 @@ class BlowupReport:
 def sample(
     u: Field, t: float, params: PhysParams,
     power: np.ndarray | None = None, density: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> DiagnosticsSample:
     """Evaluate every observable on a (physical-frame) field.
 
     power is |u_hat|^2 of the unitary spectrum of u, and density is |u|^2,
     if the caller already has them; otherwise power is computed here with
-    one transform.
+    one transform. scratch is a float array of the grid's shape that the
+    weighted sums overwrite (one is allocated if None).
     """
     grid = u.grid
     vol = grid.cell_volume
     data = u.data
     if density is None:
         density = np.abs(data) ** 2
+    if scratch is None:
+        scratch = np.empty(grid.shape)
     mass_sq = float(np.sum(density) * vol)
 
     if power is None:
-        power = np.abs(np.fft.fftn(data, norm="ortho")) ** 2
-    grad_sq = float(np.sum(grid.k_sq * power) * vol)
-    mom = power_momentum(power, grid)
+        power = np.abs(np.fft.fftn(data, norm="ortho"))
+        np.square(power, out=power)
+    grad_sq = _weighted_sum(grid.k_sq, power, scratch) * vol
+    mom = power_momentum(power, grid, scratch)
 
     p = params.p
-    if p == 5.0:  # ** 3.0 would go through pow; numpy squares ** 2.0 (p = 3) itself
-        lp_density = density * density * density
+    if p == 5.0:  # a cube by pow would round differently
+        lp_density = np.multiply(density, density, out=scratch)
+        lp_density *= density
+    elif p == 3.0:
+        lp_density = np.square(density, out=scratch)
     else:
-        lp_density = density ** ((p + 1.0) / 2.0)
+        lp_density = np.power(density, (p + 1.0) / 2.0, out=scratch)
     lp_sum = float(np.sum(lp_density) * vol)
     e0 = grad_sq - 2.0 / (p + 1.0) * lp_sum
 
@@ -121,8 +129,8 @@ def sample(
     if params.E_norm > 0:
         for xg, e in zip(grid.coordinate_grids, params.E):
             if e != 0.0:
-                stark_moment += e * float(np.sum(xg * density) * vol)
-    variance = float(np.sum(grid.radius_sq * density) * vol)
+                stark_moment += e * (_weighted_sum(xg, density, scratch) * vol)
+    variance = _weighted_sum(grid.radius_sq, density, scratch) * vol
 
     return DiagnosticsSample(
         t=t,

@@ -50,7 +50,10 @@ def ah_forward_spectrum(
     u = np.fft.ifftn(_shift_spectrum(spec, grid, t * t * E), norm="ortho")
     if e_dot_x is None:
         e_dot_x = grid.linear_phase(E)
-    u *= _cis(-(t * e_dot_x + float(np.dot(E, E)) * t**3 / 3.0))
+    # -(t E.x + |E|^2 t^3 / 3), bit for bit, in one array
+    phase = np.multiply(e_dot_x, -t)
+    phase -= sum(e * e for e in E) * t**3 / 3.0
+    u *= _cis(phase)
     return u
 
 
@@ -110,10 +113,7 @@ def pseudo_conformal_profile(
         raise ResolutionError(
             f"profile width {lam:.4g} below 8 dx = {8 * max(grid.dx):.4g}"
         )
-    x0 = np.broadcast_to(np.asarray(pc.x0, dtype=float), (grid.n,))
-    r_sq = np.zeros(grid.shape)
-    for xg, c in zip(grid.coordinate_grids, x0):
-        r_sq = r_sq + (xg - c) ** 2
+    r_sq = grid.distance_sq(pc.x0)
     q_of_r = radial_interpolant(gs)
     amplitude = q_of_r(np.sqrt(r_sq) / lam) / lam ** (grid.n / 2.0)
     phase = pc.theta - r_sq / (4.0 * lam) + 1.0 / lam

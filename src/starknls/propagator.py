@@ -40,6 +40,7 @@ from .spectral import (
     PhysParams,
     _cis,
     _keep_transform_scratch,
+    _weighted_sum,
     boundary_mass_fraction,
     power_fill_fraction,
     power_momentum,
@@ -194,17 +195,17 @@ def _kinetic_multiplier(k_sq: np.ndarray, tau: float, out=None) -> np.ndarray:
     return out
 
 
-def _nonlinear_factor(data, tau, a, p, nl_strength=1.0, potential=None):
+def _nonlinear_factor(data, tau, a, p, nl_strength=1.0, potential=None, out=None):
     """Pointwise factor exp(-a tau + i phase) of the exact damped focusing
-    flow over tau; the phase is the integral of (rho0 e^{-a s})^{p-1}.
-    A potential (E.x) adds its phase -potential * tau."""
-    rho = np.abs(data)
+    flow over tau, written into out if given; the phase is the integral of
+    (rho0 e^{-a s})^{p-1}. A potential (E.x) adds its phase -potential * tau."""
+    phase = np.abs(data)
     if p == 5.0:
-        phase = np.square(np.square(rho))
+        np.square(np.square(phase, out=phase), out=phase)
     elif p == 3.0:
-        phase = np.square(rho)
+        np.square(phase, out=phase)
     else:
-        phase = rho ** (p - 1.0)
+        phase = phase ** (p - 1.0)
     if a > 0.0:
         phase *= -np.expm1(-(p - 1.0) * a * tau)
         phase /= (p - 1.0) * a
@@ -214,7 +215,7 @@ def _nonlinear_factor(data, tau, a, p, nl_strength=1.0, potential=None):
         phase *= nl_strength
     if potential is not None:
         phase -= potential * tau
-    return _cis(phase, np.exp(-a * tau))
+    return _cis(phase, np.exp(-a * tau), out=out)
 
 
 def kinetic_substep(f: Field, tau: float) -> Field:
@@ -277,12 +278,17 @@ class _Stepper:
             self.potential = grid.linear_phase(state.params.E)
         self.fh = np.fft.fftn(state.field.data, norm="ortho")
         self._data = np.empty_like(self.fh)
+        self._factor = np.empty_like(self.fh)  # the nonlinear substep's factor
         self._half = np.empty_like(self.fh)   # H(dt/2), rebuilt when dt changes
         self._half_dt = None
         self._owed = False                    # fh still owes self._half
         self.power = np.abs(self.fh) ** 2
+        # buffers the observers overwrite instead of allocating per sample:
+        # |u|^2 of the observed field, and every weighted sum's products
+        self.density = np.empty(grid.shape)
+        self.scratch = np.empty(grid.shape)
         self.mass_sq = float(np.sum(self.power) * self.vol)
-        self.grad_sq = float(np.sum(self.k_sq * self.power) * self.vol)
+        self.grad_sq = _weighted_sum(self.k_sq, self.power, self.scratch) * self.vol
 
     def settle(self) -> np.ndarray:
         """Apply the owed half-kinetic flow; fh is then the spectrum of the
@@ -306,7 +312,9 @@ class _Stepper:
             self._half_dt = dt
         fh *= self._half
         data = np.fft.ifftn(fh, norm="ortho", out=self._data)
-        data *= _nonlinear_factor(data, dt, p.a, p.p, p.nl_strength, self.potential)
+        data *= _nonlinear_factor(
+            data, dt, p.a, p.p, p.nl_strength, self.potential, out=self._factor
+        )
         np.fft.fftn(data, norm="ortho", out=fh)
         self._owed = True
         power = np.square(np.abs(fh, out=self.power), out=self.power)
@@ -319,7 +327,7 @@ class _Stepper:
             self.mass_sq = mass_ref
         else:
             self.mass_sq = 0.0
-        self.grad_sq = float(np.sum(self.k_sq * power) * self.vol)
+        self.grad_sq = _weighted_sum(self.k_sq, power, self.scratch) * self.vol
 
     def field_data(self) -> np.ndarray:
         """Samples of the stored field (a new array)."""
@@ -405,9 +413,10 @@ def evolve(
         """
         if not frame_map:
             return max(kernel.grad_sq, 0.0)
+        mom = power_momentum(kernel.power, grid, kernel.scratch)
         g_sq = (
             kernel.grad_sq
-            - 2.0 * t * float(np.dot(E, power_momentum(kernel.power, grid)))
+            - 2.0 * t * sum(e * m for e, m in zip(s.params.E, mom))
             + t**2 * s.params.E_norm**2 * kernel.mass_sq
         )
         return max(g_sq, 0.0)
@@ -438,13 +447,15 @@ def evolve(
             u_phys = Field(grid, np.fft.ifftn(spec, norm="ortho"))
             power = kernel.power
         if due_sample:
-            density = np.abs(u_phys.data) ** 2
-            traj.samples.append(
-                diagnostics.sample(u_phys, t, s.params, power=power, density=density)
-            )
+            density = np.abs(u_phys.data, out=kernel.density)
+            np.square(density, out=density)
+            traj.samples.append(diagnostics.sample(
+                u_phys, t, s.params, power=power, density=density,
+                scratch=kernel.scratch,
+            ))
             traj.dt_series.append(dt_used)
             traj.fill_series.append(fill)
-            bmass = boundary_mass_fraction(u_phys, density)
+            bmass = boundary_mass_fraction(u_phys, density, kernel.scratch)
             if bmass > _BOUNDARY_SEAM_LIMIT:
                 traj.warn_once("seam_contamination", t)
             elif bmass > _BOUNDARY_SOFT_LIMIT:
@@ -457,7 +468,7 @@ def evolve(
     while True:
         # stop checks on the current state
         g_sq_phys = physical_grad_sq()
-        fill = power_fill_fraction(kernel.power, grid)
+        fill = power_fill_fraction(kernel.power, grid, kernel.scratch)
         if not np.isfinite(kernel.mass_sq) or not np.isfinite(kernel.grad_sq):
             traj.stop_reason = StopReason.DIVERGED
             break

@@ -118,14 +118,20 @@ def read_trajectory_csv(path):
     Returns a dict of column name -> ndarray. Quantities not stored in the
     file (lp_sum, stark_moment) are reconstructed from the definitional
     identities EV = E0 + stark_moment and E0 = grad_sq - (2/(p+1)) lp_sum
-    by the caller, which knows p. An unreadable file raises StarkNLSError.
+    by the caller, which knows p. An unreadable file, one without data rows
+    and one with a cell that is not a number raise StarkNLSError.
     """
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            rows = [line for line in fh if line.strip()]
+        if not rows:
+            raise StarkNLSError(f"{path}: no trajectory rows")
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
     except OSError as exc:
         raise StarkNLSError(f"{path}: cannot read trajectory ({exc.strerror})") from None
+    except ValueError as exc:  # a cell that is not a number, or not text at all
+        raise StarkNLSError(f"{path}: bad trajectory data: {exc}") from None
     if data.shape[1] != len(header):
         raise StarkNLSError(f"{path}: column count mismatch")
     return {name: data[:, i].copy() for i, name in enumerate(header)}

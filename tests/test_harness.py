@@ -422,6 +422,7 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ") and name in err
+        return err
 
     def test_run_verb_missing_config(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.cfg")
@@ -444,6 +445,33 @@ class TestCLI:
         run_scenario(ScenarioConfig.from_text(BASE), out_dir=out)
         (out / "summary.csv").unlink()
         self.assert_clean_error(["fit-blowup", str(out)], "summary.csv", capsys)
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("empty.csv", "", "no trajectory rows"),
+            ("header_only.csv", "t,grad_norm_sq\n", "no trajectory rows"),
+            ("text_cell.csv", "t,grad_norm_sq\n0.0,1.0\n0.1,abc\n", "abc"),
+            ("ragged.csv", "t,grad_norm_sq\n0.0,1.0\n0.1\n", "number of columns"),
+            ("no_grad.csv", "t,mass_sq\n0.0,1.0\n0.1,1.0\n", "no grad_norm_sq column"),
+            ("no_t.csv", "time,grad_norm_sq\n0.0,1.0\n", "no t column"),
+        ],
+    )
+    def test_fit_blowup_bad_trajectory(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        err = self.assert_clean_error(
+            ["fit-blowup", str(path), "--stop-reason", "grad_threshold"],
+            str(path), capsys,
+        )
+        assert message in err
+
+    def test_fit_blowup_unknown_stop_reason(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        run_scenario(ScenarioConfig.from_text(BASE), out_dir=out)
+        (out / "summary.csv").write_text("stop_reason,foo\n")
+        err = self.assert_clean_error(["fit-blowup", str(out)], str(out), capsys)
+        assert "unknown stop_reason 'foo'" in err
 
     def test_fit_blowup_verb(self, tmp_path, capsys):
         text = BASE.replace("recipe = gaussian", "recipe = quadratic_phase_q")

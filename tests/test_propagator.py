@@ -10,6 +10,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import types
 
 import numpy as np
@@ -411,6 +412,30 @@ class TestKineticMultiplier:
         full = spectral._cis(grid.k_sq * -tau)
         half = _kinetic_multiplier(grid.k_sq, tau)
         assert np.array_equal(half.view(np.float64), full.view(np.float64))
+
+
+class TestStepAllocations:
+    @pytest.mark.parametrize("E", [0.0, 0.3])
+    def test_step_allocates_under_four_arrays(self, E):
+        # The nonlinear factor goes into a kernel-owned buffer and |k|^2 |fh|^2
+        # into its scratch; what a step allocates is the phase and the two
+        # half-angle arrays of _cis, three N-point float arrays at the peak
+        # (four before, with the factor allocated per step).
+        grid = GridSpec.create(1, 13.0, 8192)
+        x = grid.axis_coordinates(0)
+        state = make_state(grid, 1.2 * np.exp(-(x**2)) * np.exp(-0.25j * x**2),
+                           a=0.01, E=(E,))
+        kernel = _Stepper(state)
+        kernel.step(1e-3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kernel.step(1e-3)
+            kernel.step(0.9e-3)  # rebuilds the kinetic multiplier
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * grid.num_points
 
 
 class TestTransformScratch:

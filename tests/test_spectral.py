@@ -7,6 +7,8 @@ integration of the closed form 3^(1/4) sech^(1/2)(2x):
     int Q'^2 dx  = 1.3603495231756634   (= mass_sq / 2)
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from starknls import (
     write_snapshot,
 )
 from starknls.errors import DivergedFieldError, GridMismatchError, StarkNLSError
-from starknls.spectral import power_fill_fraction
+from starknls.spectral import power_fill_fraction, power_momentum
 
 from conftest import random_band_limited_field
 
@@ -72,6 +74,29 @@ class TestGridSpec:
     def test_anisotropic_axes(self):
         grid = GridSpec(n=2, shape=(64, 128), half_widths=(5.0, 10.0))
         assert grid.dx == (10.0 / 64, 20.0 / 128)
+
+    @pytest.mark.parametrize(
+        "grid, x0",
+        [
+            (GridSpec.create(1, 20.0, 256), (0.7,)),
+            (GridSpec.create(2, (5.0, 10.0), (64, 128)), (0.7, -1.3)),
+            (GridSpec.create(3, 4.0, 16), (0.0, 0.5, -0.25)),
+        ],
+        ids=["1d", "2d", "3d"],
+    )
+    def test_distance_sq_bits(self, grid, x0):
+        # the sum the initial-data recipes built before the helper existed
+        ref = np.zeros(grid.shape)
+        for xg, c in zip(grid.coordinate_grids, x0):
+            ref = ref + (xg - c) ** 2
+        assert np.array_equal(grid.distance_sq(x0), ref)
+        assert np.array_equal(grid.radius_sq, grid.distance_sq(0.0))
+
+    def test_cached_wavenumbers_are_read_only(self, grid_1d):
+        k = grid_1d.axis_wavenumbers(0)
+        assert k is grid_1d.axis_wavenumbers(0)
+        with pytest.raises(ValueError):
+            k[0] = 1.0
 
 
 class TestTransforms:
@@ -215,6 +240,74 @@ class TestDiagnosticsMasks:
         assert boundary_mass_fraction(centered) < 1e-10
         shifted = Field(grid_1d, np.exp(-((x - 19.5) ** 2)).astype(complex))
         assert boundary_mass_fraction(shifted) > 0.1
+
+
+def noise_field(grid, seed=0):
+    rng = np.random.default_rng(seed)
+    return Field(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
+
+
+def allocated_bytes(fn):
+    """Peak bytes fn allocates above what is live when it starts (numpy
+    reports its array buffers to tracemalloc)."""
+    fn()  # fills the grid's caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+OBSERVER_GRIDS = [GridSpec.create(1, 13.0, 4096), GridSpec.create(2, (6.0, 4.0), (64, 32))]
+
+
+class TestObserverSums:
+    """The observers' weighted sums and band gathers write into a scratch
+    array: the same bits as the expression with temporaries, and no array
+    allocated per call."""
+
+    @pytest.fixture(params=OBSERVER_GRIDS, ids=["1d", "2d"])
+    def case(self, request):
+        grid = request.param
+        u = noise_field(grid)
+        power = np.abs(np.fft.fftn(u.data, norm="ortho")) ** 2
+        density = np.abs(u.data) ** 2
+        return grid, u, power, density, np.empty(grid.shape)
+
+    def test_same_bits_as_temporaries(self, case):
+        grid, u, power, density, scratch = case
+        high = np.sqrt(grid.k_sq) >= 0.875 * min(grid.nyquist)
+        shell = np.zeros(grid.shape, dtype=bool)
+        for xg, L in zip(grid.coordinate_grids, grid.half_widths):
+            shell |= np.abs(xg) >= (15.0 / 16.0) * L
+        assert power_fill_fraction(power, grid, scratch) == float(
+            np.sum(power[high]) / float(np.sum(power))
+        )
+        assert boundary_mass_fraction(u, density, scratch) == float(
+            np.sum(density[shell]) / float(np.sum(density))
+        )
+        assert power_momentum(power, grid, scratch) == tuple(
+            float(np.sum(kg * power) * grid.cell_volume) for kg in grid.wavenumber_grids
+        )
+        params = PhysParams(n=grid.n, a=0.1, E=(0.3,) * grid.n)
+        with_scratch = sample(u, 0.5, params, power=power, density=density,
+                              scratch=scratch)
+        assert with_scratch == sample(u, 0.5, params)
+
+    def test_no_array_allocated(self, case):
+        grid, u, power, density, scratch = case
+        params = PhysParams(n=grid.n, a=0.1, E=(0.3,) * grid.n)
+        array_bytes = 8 * grid.num_points
+        for fn in (
+            lambda: power_fill_fraction(power, grid, scratch),
+            lambda: boundary_mass_fraction(u, density, scratch),
+            lambda: power_momentum(power, grid, scratch),
+            lambda: sample(u, 0.5, params, power=power, density=density,
+                           scratch=scratch),
+        ):
+            assert allocated_bytes(fn) < array_bytes / 4
 
 
 class TestFieldInvariants:
