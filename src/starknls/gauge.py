@@ -72,7 +72,7 @@ def ah_inverse(u: Field, t: float, E) -> Field:
     grid = u.grid
     E = np.broadcast_to(np.asarray(E, dtype=float), (grid.n,))
     spec = _shift_spectrum(np.fft.fftn(u.data, norm="ortho"), grid, -t * t * E)
-    phase = t * grid.linear_phase(E) - 2.0 * float(np.dot(E, E)) * t**3 / 3.0
+    phase = t * grid.linear_phase(E) - 2.0 * sum(e * e for e in E) * t**3 / 3.0
     return Field(grid, np.fft.ifftn(spec, norm="ortho") * _cis(phase))
 
 

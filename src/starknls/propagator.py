@@ -184,8 +184,9 @@ class TrajectoryRecord:
 def _kinetic_multiplier(k_sq: np.ndarray, tau: float, out=None) -> np.ndarray:
     """Free flow over tau: exp(-i |k|^2 tau) per mode.
 
-    k_sq is bitwise even in the last-axis wavenumber, so cos/sin run on the
-    modes 0..N/2 of that axis and the negative ones are mirrored from them.
+    k_sq is bitwise even in the last-axis wavenumber, so the phase is
+    evaluated on the modes 0..N/2 of that axis and the negative ones are
+    mirrored from them.
     """
     if out is None:
         out = np.empty(k_sq.shape, dtype=np.complex128)
@@ -455,7 +456,7 @@ def evolve(
             ))
             traj.dt_series.append(dt_used)
             traj.fill_series.append(fill)
-            bmass = boundary_mass_fraction(u_phys, density, kernel.scratch)
+            bmass = boundary_mass_fraction(u_phys, density)
             if bmass > _BOUNDARY_SEAM_LIMIT:
                 traj.warn_once("seam_contamination", t)
             elif bmass > _BOUNDARY_SOFT_LIMIT:
@@ -468,7 +469,7 @@ def evolve(
     while True:
         # stop checks on the current state
         g_sq_phys = physical_grad_sq()
-        fill = power_fill_fraction(kernel.power, grid, kernel.scratch)
+        fill = power_fill_fraction(kernel.power, grid)
         if not np.isfinite(kernel.mass_sq) or not np.isfinite(kernel.grad_sq):
             traj.stop_reason = StopReason.DIVERGED
             break

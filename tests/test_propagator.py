@@ -408,7 +408,7 @@ class TestKineticMultiplier:
     )
     @pytest.mark.parametrize("tau", [0.37, 1.234e-5])
     def test_mirrored_half_is_bit_identical(self, grid, tau):
-        # cos/sin on the modes 0..N/2 of the last axis, the rest mirrored
+        # the phase on the modes 0..N/2 of the last axis, the rest mirrored
         full = spectral._cis(grid.k_sq * -tau)
         half = _kinetic_multiplier(grid.k_sq, tau)
         assert np.array_equal(half.view(np.float64), full.view(np.float64))

@@ -260,15 +260,51 @@ def allocated_bytes(fn):
         tracemalloc.stop()
 
 
-OBSERVER_GRIDS = [GridSpec.create(1, 13.0, 4096), GridSpec.create(2, (6.0, 4.0), (64, 32))]
+OBSERVER_GRIDS = [
+    GridSpec.create(1, 13.0, 4096),
+    GridSpec.create(2, (6.0, 4.0), (64, 32)),
+    GridSpec.create(3, 4.0, 16),
+]
+
+
+def sample_with_temporaries(u, t, params):
+    """Every observable of diagnostics.sample, each by the expression with a
+    fresh product array that the scratch-array sums replace."""
+    grid = u.grid
+    vol = grid.cell_volume
+    density = np.abs(u.data) ** 2
+    power = np.abs(np.fft.fftn(u.data, norm="ortho")) ** 2
+    grad_sq = float(np.sum(grid.k_sq * power) * vol)
+    p = params.p
+    lp_density = density * density * density if p == 5.0 else density ** ((p + 1.0) / 2.0)
+    lp_sum = float(np.sum(lp_density) * vol)
+    e0 = grad_sq - 2.0 / (p + 1.0) * lp_sum
+    stark_moment = 0.0
+    for xg, e in zip(grid.coordinate_grids, params.E):
+        if e != 0.0:
+            stark_moment += e * float(np.sum(xg * density) * vol)
+    radius_sq = np.zeros(grid.shape)
+    for xg in grid.coordinate_grids:
+        radius_sq = radius_sq + xg**2
+    return dict(
+        t=t,
+        mass_sq=float(np.sum(density) * vol),
+        grad_sq=grad_sq,
+        e0=e0,
+        ev=e0 + stark_moment,
+        momentum=tuple(float(np.sum(kg * power) * vol) for kg in grid.wavenumber_grids),
+        variance=float(np.sum(radius_sq * density) * vol),
+        lp_sum=lp_sum,
+        stark_moment=stark_moment,
+    )
 
 
 class TestObserverSums:
-    """The observers' weighted sums and band gathers write into a scratch
-    array: the same bits as the expression with temporaries, and no array
-    allocated per call."""
+    """The observers' weighted sums write into a scratch array: the same
+    bits as the expression with temporaries, and no array allocated per
+    call."""
 
-    @pytest.fixture(params=OBSERVER_GRIDS, ids=["1d", "2d"])
+    @pytest.fixture(params=OBSERVER_GRIDS, ids=["1d", "2d", "3d"])
     def case(self, request):
         grid = request.param
         u = noise_field(grid)
@@ -276,33 +312,25 @@ class TestObserverSums:
         density = np.abs(u.data) ** 2
         return grid, u, power, density, np.empty(grid.shape)
 
-    def test_same_bits_as_temporaries(self, case):
+    @pytest.mark.parametrize("p", [None, 3.0, 5.0, 2.5], ids=["critical", "3", "5", "2.5"])
+    def test_same_bits_as_temporaries(self, case, p):
         grid, u, power, density, scratch = case
-        high = np.sqrt(grid.k_sq) >= 0.875 * min(grid.nyquist)
-        shell = np.zeros(grid.shape, dtype=bool)
-        for xg, L in zip(grid.coordinate_grids, grid.half_widths):
-            shell |= np.abs(xg) >= (15.0 / 16.0) * L
-        assert power_fill_fraction(power, grid, scratch) == float(
-            np.sum(power[high]) / float(np.sum(power))
-        )
-        assert boundary_mass_fraction(u, density, scratch) == float(
-            np.sum(density[shell]) / float(np.sum(density))
-        )
         assert power_momentum(power, grid, scratch) == tuple(
             float(np.sum(kg * power) * grid.cell_volume) for kg in grid.wavenumber_grids
         )
-        params = PhysParams(n=grid.n, a=0.1, E=(0.3,) * grid.n)
-        with_scratch = sample(u, 0.5, params, power=power, density=density,
-                              scratch=scratch)
-        assert with_scratch == sample(u, 0.5, params)
+        params = PhysParams(n=grid.n, a=0.1, E=(0.3,) * grid.n, p=p)
+        expected = sample_with_temporaries(u, 0.5, params)
+        for got in (
+            sample(u, 0.5, params, power=power, density=density, scratch=scratch),
+            sample(u, 0.5, params),
+        ):
+            assert {name: getattr(got, name) for name in expected} == expected
 
     def test_no_array_allocated(self, case):
         grid, u, power, density, scratch = case
         params = PhysParams(n=grid.n, a=0.1, E=(0.3,) * grid.n)
         array_bytes = 8 * grid.num_points
         for fn in (
-            lambda: power_fill_fraction(power, grid, scratch),
-            lambda: boundary_mass_fraction(u, density, scratch),
             lambda: power_momentum(power, grid, scratch),
             lambda: sample(u, 0.5, params, power=power, density=density,
                            scratch=scratch),

@@ -1,6 +1,6 @@
 """Alternating parent/change pairs of the benchmark, written to BENCH_<label>.json.
 
-    python3 tools/bench_pairs.py PARENT WORKLOAD --seed 7 --pairs 10 --label NAME [--trace]
+    python3 tools/bench_pairs.py PARENT WORKLOAD --seed 7 --pairs 10 --label NAME
 
 Run from the root of a starknls checkout; that checkout (its working tree,
 uncommitted changes included) is the change. PARENT is any git revision: it
@@ -19,9 +19,9 @@ method) over the pairs, the relative change of the medians, the parent's and
 the change's interquartile spread relative to their medians, the benchmark's
 bound, and the number of pairs the change read strictly better.
 
-With ``--trace`` one ``--trace 1`` run per side follows the pairs (parent
-first), and the entry also holds each side's per-layer metrics, which the
-benchmark reports as medians over the traced passes of that run.
+One ``--trace 1`` run per side follows the pairs (parent first), so the
+entry also holds each side's per-layer metrics, which the benchmark reports
+as medians over the traced passes of that run: the layer that moved.
 """
 
 from __future__ import annotations
@@ -140,9 +140,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    ap.add_argument("--trace", action="store_true",
-                    help="after the pairs, one traced run per side for the "
-                         "per-layer metrics")
     args = ap.parse_args(argv)
     if not (ROOT / "benchmark" / "run.py").is_file():
         print(f"error: no benchmark/run.py under {ROOT}", file=sys.stderr)
@@ -169,14 +166,12 @@ def main(argv=None) -> int:
                               f"{pair[side]['run_s']:.3f}"
                               if "error" not in pair[side] else "no report")
                 for side in ("parent", "change")), flush=True)
-        traced = {}
-        if args.trace:
-            for side in ("parent", "change"):
-                traced[side] = run_side(parent_dir if side == "parent" else ROOT,
-                                        args.workload, args.seed, seconds, trace=1)
-            print("traced: " + "  ".join(
-                f"{side} " + ("done" if "error" not in traced[side] else "no report")
-                for side in ("parent", "change")), flush=True)
+        traced = {side: run_side(parent_dir if side == "parent" else ROOT,
+                                 args.workload, args.seed, seconds, trace=1)
+                  for side in ("parent", "change")}
+        print("traced: " + "  ".join(
+            f"{side} " + ("done" if "error" not in traced[side] else "no report")
+            for side in ("parent", "change")), flush=True)
 
     out = ROOT / f"BENCH_{args.label}.json"
     bench = json.loads(out.read_text()) if out.exists() else {"label": args.label}
@@ -195,14 +190,15 @@ def main(argv=None) -> int:
                "better; 'rel_change' is the change median over the parent median, "
                "minus 1.",
     )
-    entry = {"summary": summarize(pairs, end_to_end), "pairs": pairs}
-    if traced:
-        entry["per_layer"] = {
+    bench.setdefault("workloads", {})[f"{args.workload}@seed{args.seed}"] = {
+        "summary": summarize(pairs, end_to_end),
+        "pairs": pairs,
+        "per_layer": {
             "command": f"python3 benchmark/run.py --workload {args.workload} "
                        f"--seed {args.seed} --seconds {seconds:g} --trace 1",
             **traced,
-        }
-    bench.setdefault("workloads", {})[f"{args.workload}@seed{args.seed}"] = entry
+        },
+    }
     out.write_text(json.dumps(bench, indent=2) + "\n")
     print(f"-> {out.name}")
     return 0
