@@ -22,13 +22,11 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import diagnostics, harness
 from .config import ScenarioConfig
 from .errors import StarkNLSError
 from .ground_state import ground_state_energy, petviashvili
-from .propagator import BLOWUP_STOPS, StopReason
+from .propagator import StopReason, TrajectoryRecord
 from .spectral import GridSpec
 from .storage import (
     fmt_float,
@@ -81,19 +79,24 @@ def _cmd_run(args) -> int:
 def _cmd_check_laws(args) -> int:
     cfg = _load_cfg(args)
     result = harness.run_scenario(cfg, out_dir=args.out)
-    for report in harness.run_law_checks(result.traj):
+    for report in harness.run_law_checks(result.traj, cfg):
         print(f"{report.law_id}: max_rel_dev={report.max_rel_dev:.3e}  {report.notes}")
     return result.exit_code
 
 
-def _cmd_fit_blowup(args) -> int:
-    target = Path(args.target)
+def load_bundle_record(target, stop_reason: str | None = None) -> TrajectoryRecord:
+    """The TrajectoryRecord of a run directory or a bare trajectory CSV.
+
+    The stop reason comes from stop_reason if given, else from the
+    directory's summary.csv; a bare CSV needs it given.
+    """
+    target = Path(target)
     csv_path = target / "trajectory.csv" if target.is_dir() else target
     cols = read_trajectory_csv(csv_path)
     missing = [name for name in ("t", "grad_norm_sq") if name not in cols]
     if missing:
         raise StarkNLSError(f"{csv_path}: no {' or '.join(missing)} column")
-    stop = args.stop_reason
+    stop = stop_reason
     if stop is None and target.is_dir():
         try:
             summary = (target / "summary.csv").read_text().splitlines()
@@ -106,25 +109,17 @@ def _cmd_fit_blowup(args) -> int:
             if line.startswith("stop_reason,"):
                 stop = line.split(",", 1)[1]
     if stop is None:
-        print("error: supply --stop-reason for a bare trajectory CSV",
-              file=sys.stderr)
-        return 1
+        raise StarkNLSError("supply --stop-reason for a bare trajectory CSV")
     try:
         reason = StopReason(stop)  # argparse checks --stop-reason itself
     except ValueError:
         raise StarkNLSError(f"{target}: unknown stop_reason {stop!r}") from None
+    return TrajectoryRecord(columns=cols, stop_reason=reason)
 
-    class _TrajView:
-        stop_reason = reason
-        blew_up = reason in BLOWUP_STOPS
 
-        @staticmethod
-        def column(name):
-            if name == "grad_norm":
-                return np.sqrt(cols["grad_norm_sq"])
-            return cols[{"grad_sq": "grad_norm_sq"}.get(name, name)]
-
-    report = diagnostics.detect_blowup_and_fit(_TrajView())
+def _cmd_fit_blowup(args) -> int:
+    record = load_bundle_record(args.target, args.stop_reason)
+    report = diagnostics.detect_blowup_and_fit(record)
     print(f"blew_up={report.blew_up} T_star_est={report.T_star_est:.6f} "
           f"gamma={report.rate_exponent:.4f} "
           f"loglog_residual={report.loglog_residual:.4g} "

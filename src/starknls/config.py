@@ -22,7 +22,7 @@ Sections and keys:
                  k0, path
     [controller] dt0, cfl, dt_min, spectral_fill_max, grad_stop
     [observers]  sample_every_steps, snapshot_every_steps, snapshot_grad_factor
-    [output]     dir, seed, write_snapshots
+    [output]     dir, write_snapshots
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
     "output": {
         "dir": ("str", ""),
-        "seed": ("int", 0),
         "write_snapshots": ("bool", False),
     },
 }
@@ -178,7 +177,6 @@ class ScenarioConfig:
     snapshot_every_steps: int = 0
     snapshot_grad_factor: float | None = None
     out_dir: str = ""
-    seed: int = 0
     write_snapshots: bool = False
 
     # ---- construction -----------------------------------------------------
@@ -239,7 +237,6 @@ class ScenarioConfig:
             snapshot_every_steps=values[("observers", "snapshot_every_steps")],
             snapshot_grad_factor=values[("observers", "snapshot_grad_factor")],
             out_dir=values[("output", "dir")],
-            seed=values[("output", "seed")],
             write_snapshots=values[("output", "write_snapshots")],
         )
         cfg.validate()
@@ -429,7 +426,6 @@ class ScenarioConfig:
             ("observers", "snapshot_every_steps"): self.snapshot_every_steps,
             ("observers", "snapshot_grad_factor"): self.snapshot_grad_factor,
             ("output", "dir"): self.out_dir,
-            ("output", "seed"): self.seed,
             ("output", "write_snapshots"): self.write_snapshots,
         }
         lines = []

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, NoBoundError, ResolutionError
 from .spectral import Field, PhysParams, _weighted_sum, power_momentum
+from .storage import MOMENTUM_COLUMNS
 
 # fit-window policy: samples with grad_norm at least this factor above the
 # trajectory minimum belong to the collapse window
@@ -151,13 +152,19 @@ def sample(
 
 
 def _require_samples(traj, minimum):
-    if len(traj.samples) < minimum:
+    count = len(traj.columns["t"])
+    if count < minimum:
         raise InsufficientDataError(
-            f"need at least {minimum} samples, trajectory has {len(traj.samples)}"
+            f"need at least {minimum} samples, trajectory has {count}"
         )
 
 
-def check_mass_law(traj) -> LawCheckReport:
+def _momentum(traj, n):
+    """The momentum columns as one (samples, n) array."""
+    return np.column_stack([traj.columns[name] for name in MOMENTUM_COLUMNS[:n]])
+
+
+def check_mass_law(traj, params: PhysParams) -> LawCheckReport:
     """Fit log mass_sq(t) = -c t + const and compare c against 2 a.
 
     The damping factor enters each step exactly, so the fitted rate matches
@@ -165,9 +172,9 @@ def check_mass_law(traj) -> LawCheckReport:
     of mass_sq(t) from e^{-2 a t} mass_sq(0).
     """
     _require_samples(traj, 2)
-    t = traj.column("t")
-    m = traj.column("mass_sq")
-    a = traj.params.a
+    t = traj.columns["t"]
+    m = traj.columns["mass_sq"]
+    a = params.a
     if np.any(m <= 0):
         raise InsufficientDataError("mass series contains non-positive entries")
     span = t[-1] - t[0]
@@ -199,13 +206,13 @@ def check_energy_rate(traj, params: PhysParams) -> LawCheckReport:
     -2 E.P(u); in the conservative limit (a = 0, E = 0) both rates vanish
     and the check reduces to constancy of the energies."""
     _require_samples(traj, 5)
-    t = traj.column("t")
-    e0 = traj.column("e0")
-    ev = traj.column("ev")
-    gsq = traj.column("grad_sq")
-    lp = traj.column("lp_sum")
-    stark = traj.column("stark_moment")
-    mom = traj.column("momentum")
+    t = traj.columns["t"]
+    e0 = traj.columns["E0"]
+    ev = traj.columns["EV"]
+    gsq = traj.columns["grad_norm_sq"]
+    lp = traj.columns["lp_sum"]
+    stark = traj.columns["stark_moment"]
+    mom = _momentum(traj, params.n)
     a = params.a
     E = np.asarray(params.E)
 
@@ -245,9 +252,9 @@ def check_momentum_law(traj, params: PhysParams) -> LawCheckReport:
     vanishes and the check is the closed form P(t) = e^{-2 a t} P(0); with
     E = 0 and a = 0 both exponents fit trivially (degenerate, flagged)."""
     _require_samples(traj, 5)
-    t = traj.column("t")
-    mom = traj.column("momentum")
-    m = traj.column("mass_sq")
+    t = traj.columns["t"]
+    mom = _momentum(traj, params.n)
+    m = traj.columns["mass_sq"]
     a = params.a
     E = np.asarray(params.E)
 
@@ -447,8 +454,8 @@ def _profiled_power_fit(t, gnorm, gamma=None):
 def detect_blowup_and_fit(traj) -> BlowupReport:
     """Estimate T* and the collapse rate from a trajectory.
 
-    The collapse window is the set of samples whose gradient norm exceeds
-    FIT_WINDOW_FACTOR times the trajectory minimum; fewer than
+    The collapse window is the contiguous tail of samples whose gradient
+    norm exceeds FIT_WINDOW_FACTOR times the trajectory minimum; fewer than
     FIT_MIN_POINTS such samples sets the fit_unreliable flag. Both the
     loglog model (grad_sq ~ C loglog(1/(T*-t))/(T*-t)) and the pure power
     model (grad_norm ~ C (T*-t)^(-gamma)) are fitted; T_star_est comes from
@@ -456,8 +463,7 @@ def detect_blowup_and_fit(traj) -> BlowupReport:
     1/2; that gives sqrt_rate_residual and does not enter T_star_est. A
     trajectory that did not end in a blow-up stop reports blew_up=False with
     no fit."""
-    stop = traj.stop_reason
-    stop_name = stop.value if hasattr(stop, "value") else str(stop)
+    stop_name = traj.stop_reason.value
     if not traj.blew_up:
         return BlowupReport(
             blew_up=False,
@@ -468,16 +474,14 @@ def detect_blowup_and_fit(traj) -> BlowupReport:
             power_residual=np.nan,
             sqrt_rate_residual=np.nan,
         )
-    t = traj.column("t")
-    gnorm = traj.column("grad_norm")
+    t = traj.columns["t"]
+    gnorm = np.sqrt(traj.columns["grad_norm_sq"])
     # collapse window: the contiguous tail above the growth threshold (a
     # mid-run dip must not splice early samples into the fit)
     threshold = FIT_WINDOW_FACTOR * gnorm.min()
     below = np.nonzero(gnorm < threshold)[0]
     start = below[-1] + 1 if below.size else 0
-    window = np.zeros(gnorm.size, dtype=bool)
-    window[start:] = True
-    npts = int(window.sum())
+    npts = int(gnorm.size - start)
     unreliable = npts < FIT_MIN_POINTS
     if npts < 4:
         return BlowupReport(
@@ -491,8 +495,8 @@ def detect_blowup_and_fit(traj) -> BlowupReport:
             fit_unreliable=True,
             window_points=npts,
         )
-    tw = t[window]
-    gw = gnorm[window]
+    tw = t[start:]
+    gw = gnorm[start:]
     T_ll, rms_ll = _profiled_loglog_fit(tw, gw**2)
     T_pw, gamma, rms_pw = _profiled_power_fit(tw, gw)
     _, _, rms_sqrt = _profiled_power_fit(tw, gw, gamma=0.5)

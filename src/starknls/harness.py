@@ -28,7 +28,14 @@ from . import diagnostics
 from .config import ScenarioConfig
 from .errors import BracketError, ConfigError, StarkNLSError
 from .ground_state import threshold_mass
-from .propagator import Backend, SimState, StopReason, evolve
+from .propagator import (
+    BLOWUP_STOPS,
+    Backend,
+    SimState,
+    StopReason,
+    TrajectoryRecord,
+    evolve,
+)
 from .spectral import Field
 from .storage import (
     fmt_float,
@@ -53,7 +60,7 @@ class RunResult:
     cfg: ScenarioConfig
     out_dir: Path | None
     state: SimState
-    traj: object
+    traj: TrajectoryRecord
     blowup: object | None
     exit_code: int
     summary: dict
@@ -71,7 +78,7 @@ def _execute(cfg: ScenarioConfig):
 def _exit_code(stop: StopReason) -> int:
     if stop is StopReason.T_END:
         return 0
-    if stop in (StopReason.GRAD_THRESHOLD, StopReason.SPECTRAL_FILL):
+    if stop in BLOWUP_STOPS:
         return 2
     return 1
 
@@ -93,13 +100,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, write=True) -> RunResult:
         "stop_reason": traj.stop_reason.value,
         "t_final": float(final.t),
         "steps": int(final.step_count),
-        "mass_sq_final": float(traj.samples[-1].mass_sq),
-        "grad_norm_max": float(np.max(traj.column("grad_norm"))),
+        "mass_sq_final": float(traj.columns["mass_sq"][-1]),
+        "grad_norm_max": float(np.sqrt(np.max(traj.columns["grad_norm_sq"]))),
         "warnings": ";".join(code for code, _ in traj.warnings) or "none",
     }
     if blowup is not None:
         threshold = threshold_mass(cfg.n)
-        mass0 = float(np.sqrt(traj.samples[0].mass_sq))
+        mass0 = float(np.sqrt(traj.columns["mass_sq"][0]))
         summary.update(
             T_star_est=blowup.T_star_est,
             rate_exponent=blowup.rate_exponent,
@@ -160,7 +167,7 @@ def _write_bundle(out: Path, cfg, traj, blowup, summary) -> None:
         [{"key": k, "value": v if isinstance(v, str) else fmt_float(v)
           if isinstance(v, float) else str(v)} for k, v in summary.items()],
     )
-    reports = run_law_checks(traj)
+    reports = run_law_checks(traj, cfg)
     write_report_csv(
         out / "law_checks.csv",
         [{"law": r.law_id, "max_rel_dev": r.max_rel_dev, "notes": r.notes}
@@ -179,15 +186,9 @@ def _write_bundle(out: Path, cfg, traj, blowup, summary) -> None:
         }])
     plots = out / "plots"
     plots.mkdir(exist_ok=True)
-    t = traj.column("t")
-    for name, col in (
-        ("mass_sq", "mass_sq"),
-        ("grad_norm_sq", "grad_sq"),
-        ("E0", "e0"),
-        ("EV", "ev"),
-        ("variance", "variance"),
-    ):
-        write_plot_data(plots / f"{name}.dat", t, traj.column(col), name)
+    t = traj.columns["t"]
+    for name in ("mass_sq", "grad_norm_sq", "E0", "EV", "variance"):
+        write_plot_data(plots / f"{name}.dat", t, traj.columns[name], name)
     if cfg.write_snapshots and traj.snapshots:
         snap_dir = out / "snapshots"
         snap_dir.mkdir(exist_ok=True)
@@ -195,11 +196,12 @@ def _write_bundle(out: Path, cfg, traj, blowup, summary) -> None:
             write_snapshot(snap_dir / f"snap_{i:04d}.dnls", snap.field)
 
 
-def run_law_checks(traj) -> list:
-    reports = [diagnostics.check_mass_law(traj)]
+def run_law_checks(traj, cfg: ScenarioConfig) -> list:
+    params = cfg.phys_params()
+    reports = [diagnostics.check_mass_law(traj, params)]
     try:
-        reports.append(diagnostics.check_energy_rate(traj, traj.params))
-        reports.append(diagnostics.check_momentum_law(traj, traj.params))
+        reports.append(diagnostics.check_energy_rate(traj, params))
+        reports.append(diagnostics.check_momentum_law(traj, params))
     except StarkNLSError as exc:
         reports.append(
             diagnostics.LawCheckReport(
@@ -222,7 +224,6 @@ def threshold_scan(cfg: ScenarioConfig, c_values) -> list[dict]:
     closedness of the global set is reported in the row notes, not hidden.
     """
     rows = []
-    threshold = threshold_mass(cfg.n)
     for c in sorted(c_values):
         sub = cfg.apply_overrides([f"initial.c={fmt_float(c)}"])
         result = run_scenario(sub, write=False)
@@ -235,12 +236,9 @@ def threshold_scan(cfg: ScenarioConfig, c_values) -> list[dict]:
             "notes": "",
         }
         if result.blowup is not None:
-            mass0 = float(np.sqrt(result.traj.samples[0].mass_sq))
             row["T_star_est"] = result.blowup.T_star_est
-            if cfg.a > 0 and mass0 > threshold:
-                row["t_star_bound"] = diagnostics.t_star_upper_bound(
-                    mass0, cfg.a, threshold
-                )
+        if "t_star_bound" in result.summary:
+            row["t_star_bound"] = result.summary["t_star_bound"]
         rows.append(row)
     mark_monotonicity_warnings(rows)
     return rows

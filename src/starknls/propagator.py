@@ -45,6 +45,7 @@ from .spectral import (
     power_fill_fraction,
     power_momentum,
 )
+from .storage import trajectory_header
 
 
 class Backend(enum.Enum):
@@ -139,37 +140,22 @@ class Snapshot:
 
 @dataclass
 class TrajectoryRecord:
-    """Sampled diagnostics, snapshots, and the stop descriptor of one run."""
+    """Sampled diagnostics, snapshots, and the stop descriptor of one run.
 
-    params: PhysParams
-    backend: Backend
-    samples: list = dc_field(default_factory=list)
-    dt_series: list = dc_field(default_factory=list)
-    fill_series: list = dc_field(default_factory=list)
+    columns maps a name to one value per sample: the trajectory.csv columns
+    (storage.trajectory_header), and in a live run also lp_sum and
+    stark_moment, which the file does not store. A bundle's record is
+    TrajectoryRecord(columns=read_trajectory_csv(path), stop_reason=...).
+    """
+
+    columns: dict[str, np.ndarray] = dc_field(default_factory=dict)
     snapshots: list = dc_field(default_factory=list)
     stop_reason: StopReason = StopReason.T_END
     warnings: list = dc_field(default_factory=list)
 
-    _columns: dict = dc_field(default_factory=dict, repr=False)
-
     @property
     def blew_up(self) -> bool:
         return self.stop_reason in BLOWUP_STOPS
-
-    def column(self, name: str) -> np.ndarray:
-        """Sample series as an array: t, mass_sq, grad_sq, e0, ev, variance,
-        lp_sum, stark_moment, momentum (2d), grad_norm."""
-        cached = self._columns.get(name)
-        if cached is not None and len(cached) == len(self.samples):
-            return cached
-        if name == "momentum":
-            arr = np.array([s.momentum for s in self.samples])
-        elif name == "grad_norm":
-            arr = np.sqrt(np.array([s.grad_sq for s in self.samples]))
-        else:
-            arr = np.array([getattr(s, name) for s in self.samples])
-        self._columns[name] = arr
-        return arr
 
     def warn_once(self, code: str, t: float) -> None:
         if not any(c == code for c, _ in self.warnings):
@@ -387,9 +373,11 @@ def evolve(
             f"t_end={t_end} must be finite and exceed current time {s.t}"
         )
     hooks = observers if observers is not None else DiagnosticHooks()
-    traj = TrajectoryRecord(params=s.params, backend=s.backend)
+    traj = TrajectoryRecord()
 
     grid = s.field.grid
+    names = (*trajectory_header(grid.n), "lp_sum", "stark_moment")
+    rows = []  # one tuple per sample, in the order of names
     if not s.field.is_finite():
         raise DivergedFieldError("initial field contains non-finite samples")
     kernel = _Stepper(s)
@@ -450,12 +438,13 @@ def evolve(
         if due_sample:
             density = np.abs(u_phys.data, out=kernel.density)
             np.square(density, out=density)
-            traj.samples.append(diagnostics.sample(
+            obs = diagnostics.sample(
                 u_phys, t, s.params, power=power, density=density,
                 scratch=kernel.scratch,
-            ))
-            traj.dt_series.append(dt_used)
-            traj.fill_series.append(fill)
+            )
+            rows.append((obs.t, obs.mass_sq, obs.grad_sq, obs.e0, obs.ev,
+                         *obs.momentum, obs.variance, dt_used, fill,
+                         obs.lp_sum, obs.stark_moment))
             bmass = boundary_mass_fraction(u_phys, density)
             if bmass > _BOUNDARY_SEAM_LIMIT:
                 traj.warn_once("seam_contamination", t)
@@ -496,6 +485,7 @@ def evolve(
         dt_used = dt
 
     observed = record(g_sq_phys, fill, final=True)
+    traj.columns = dict(zip(names, np.array(rows).T.copy()))
     final_state = SimState(
         t=t,
         field=Field(grid, kernel.field_data()) if frame_map else observed,

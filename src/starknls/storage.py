@@ -95,32 +95,28 @@ def read_snapshot(path) -> Field:
 # ---------------------------------------------------------------------------
 
 
+MOMENTUM_COLUMNS = ("Px", "Py", "Pz")
+
+
 def trajectory_header(n: int) -> list[str]:
-    momentum_cols = ["Px", "Py", "Pz"][:n]
-    return ["t", "mass_sq", "grad_norm_sq", "E0", "EV", *momentum_cols,
+    return ["t", "mass_sq", "grad_norm_sq", "E0", "EV", *MOMENTUM_COLUMNS[:n],
             "variance", "dt", "spectral_fill"]
 
 
 def write_trajectory_csv(path, traj) -> None:
-    """Write a TrajectoryRecord in the fixed column order."""
-    n = traj.params.n
-    lines = [",".join(trajectory_header(n))]
-    for i, s in enumerate(traj.samples):
-        row = [s.t, s.mass_sq, s.grad_sq, s.e0, s.ev, *s.momentum,
-               s.variance, traj.dt_series[i], traj.fill_series[i]]
+    """Write the file columns of a TrajectoryRecord in the fixed order."""
+    n = sum(name in traj.columns for name in MOMENTUM_COLUMNS)
+    header = trajectory_header(n)
+    lines = [",".join(header)]
+    for row in zip(*(traj.columns[name].tolist() for name in header)):
         lines.append(",".join(fmt_float(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_trajectory_csv(path):
-    """Load a trajectory CSV back into plain arrays.
-
-    Returns a dict of column name -> ndarray. Quantities not stored in the
-    file (lp_sum, stark_moment) are reconstructed from the definitional
-    identities EV = E0 + stark_moment and E0 = grad_sq - (2/(p+1)) lp_sum
-    by the caller, which knows p. An unreadable file, one without data rows
-    and one with a cell that is not a number raise StarkNLSError.
-    """
+    """Load a trajectory CSV as a dict of column name -> ndarray, the columns
+    of a TrajectoryRecord. An unreadable file, one without data rows and one
+    with a cell that is not a number raise StarkNLSError."""
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")

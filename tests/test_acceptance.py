@@ -18,7 +18,6 @@ import pytest
 from starknls import (
     Field,
     GridSpec,
-    PhysParams,
     ScenarioConfig,
     SweepSpec,
     a_star_bisection,
@@ -37,8 +36,7 @@ from starknls import (
     t_star_upper_bound,
     threshold_mass,
 )
-from starknls.diagnostics import DiagnosticsSample
-from starknls.propagator import Backend, StopReason, TrajectoryRecord
+from starknls.propagator import StopReason, TrajectoryRecord
 
 Q_MASS_SQ = 2.7206990463513267
 
@@ -169,14 +167,14 @@ class TestCriterion02Pohozaev:
 class TestCriterion03ExactMassLaw:
     def test_all_shared_runs(self, collapse_run, global_runs):
         worst_point, worst_rate = 0.0, 0.0
-        for traj in (collapse_run.traj, global_runs[0.9].traj,
-                     global_runs[1.0].traj):
-            t = traj.column("t")
-            m = np.sqrt(traj.column("mass_sq"))
-            a = traj.params.a
+        for result in (collapse_run, global_runs[0.9], global_runs[1.0]):
+            traj, params = result.traj, result.cfg.phys_params()
+            t = traj.columns["t"]
+            m = np.sqrt(traj.columns["mass_sq"])
+            a = params.a
             expected = m[0] * np.exp(-a * (t - t[0]))
             worst_point = max(worst_point, float(np.max(np.abs(m / expected - 1))))
-            rep = check_mass_law(traj)
+            rep = check_mass_law(traj, params)
             worst_rate = max(worst_rate, rep.max_rel_dev)
         ok = worst_point <= 1e-12 and worst_rate <= 1e-10
         report("3", "norm decays as e^{-a t} on every run; fitted mass_sq "
@@ -220,8 +218,8 @@ def conservative_run():
 class TestCriterion05ConservativeLimit:
     def test_energy_and_momentum_conserved(self, conservative_run):
         traj = conservative_run.traj
-        e0 = traj.column("e0")
-        mom = traj.column("momentum")[:, 0]
+        e0 = traj.columns["E0"]
+        mom = traj.columns["Px"]
         de = float(np.max(np.abs(e0 - e0[0]))) / max(1.0, abs(e0[0]))
         dp = float(np.max(np.abs(mom - mom[0])))
         ok = de < 1e-8 and dp < 1e-8
@@ -230,9 +228,9 @@ class TestCriterion05ConservativeLimit:
 
     def test_virial_identity(self, conservative_run):
         traj = conservative_run.traj
-        t = traj.column("t")
-        J = traj.column("variance")
-        e0_init = traj.column("e0")[0]
+        t = traj.columns["t"]
+        J = traj.columns["variance"]
+        e0_init = traj.columns["E0"][0]
         dt_s = t[1] - t[0]
         d2j = (J[2:] - 2 * J[1:-1] + J[:-2]) / dt_s**2
         dev = float(np.max(np.abs(d2j - 8 * e0_init))) / abs(8 * e0_init)
@@ -263,7 +261,7 @@ class TestCriterion07Threshold:
         ok = True
         for c in (0.9, 1.0):
             result = global_runs[c]
-            grad = result.traj.column("grad_norm")
+            grad = np.sqrt(result.traj.columns["grad_norm_sq"])
             bounded = float(np.max(grad)) <= 3.0 * float(np.median(grad))
             reached = result.traj.stop_reason is StopReason.T_END
             ok = ok and bounded and reached
@@ -275,7 +273,7 @@ class TestCriterion07Threshold:
 
     def test_supercritical_blows_up(self, collapse_run):
         traj = collapse_run.traj
-        grad = traj.column("grad_norm")
+        grad = np.sqrt(traj.columns["grad_norm_sq"])
         growth = float(np.max(grad) / grad[0])
         ok = (traj.blew_up and growth > 1e3
               and collapse_run.runtime < 600.0)
@@ -288,8 +286,8 @@ class TestCriterion08BlowupTimeBound:
     def test_t_star_below_mass_bound(self, collapse_run):
         traj = collapse_run.traj
         fit = detect_blowup_and_fit(traj)
-        mass0 = float(np.sqrt(traj.column("mass_sq")[0]))
-        bound = t_star_upper_bound(mass0, traj.params.a, threshold_mass(1))
+        mass0 = float(np.sqrt(traj.columns["mass_sq"][0]))
+        bound = t_star_upper_bound(mass0, collapse_run.cfg.a, threshold_mass(1))
         ok = fit.blew_up and fit.T_star_est <= bound + 0.05
         report("8", "T* estimate satisfies the damped mass bound", ok,
                f"T*={fit.T_star_est:.4f} bound={bound:.2f}")
@@ -302,14 +300,8 @@ class TestCriterion09RateFitting:
         t = 1.0 - sigma
         gsq = np.log(np.log(1.0 / sigma)) / sigma
         gsq = gsq * (1.0 + 0.01 * rng.standard_normal(sigma.size))
-        traj = TrajectoryRecord(params=PhysParams(n=1), backend=Backend.GAUGE_FRAME)
-        traj.stop_reason = StopReason.GRAD_THRESHOLD
-        for ti, gi in zip(t, gsq):
-            traj.samples.append(DiagnosticsSample(
-                t=float(ti), mass_sq=1.0, grad_sq=float(gi), e0=0.0, ev=0.0,
-                momentum=(0.0,), variance=0.0, lp_sum=0.0, stark_moment=0.0))
-            traj.dt_series.append(0.0)
-            traj.fill_series.append(0.0)
+        traj = TrajectoryRecord(columns={"t": t, "grad_norm_sq": gsq},
+                                stop_reason=StopReason.GRAD_THRESHOLD)
         fit = detect_blowup_and_fit(traj)
         ok = (abs(fit.T_star_est - 1.0) < 1e-3
               and abs(fit.rate_exponent - 0.5) < 0.03

@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from starknls import (
-    Backend,
     Field,
     GridSpec,
     PhysParams,
@@ -23,7 +22,7 @@ from starknls import (
     t_star_upper_bound,
 )
 from starknls import diagnostics
-from starknls.diagnostics import DiagnosticsSample, _minimize_bounded
+from starknls.diagnostics import _minimize_bounded
 from starknls.errors import InsufficientDataError, NoBoundError, ResolutionError
 
 from conftest import random_band_limited_field
@@ -71,10 +70,11 @@ sample_every_steps = {sample_every}
 
 
 def run_trajectory(**kw):
+    """The record of a run and the physical parameters it ran with."""
     from starknls import ScenarioConfig, run_scenario
 
     cfg = ScenarioConfig.from_text(run_cfg_text(**kw))
-    return run_scenario(cfg, write=False).traj
+    return run_scenario(cfg, write=False).traj, cfg.phys_params()
 
 
 class TestSample:
@@ -117,41 +117,42 @@ class TestSample:
 
 class TestMassLaw:
     def test_conservative(self):
-        traj = run_trajectory(a=0.0, t_end=0.5)
-        rep = check_mass_law(traj)
+        traj, params = run_trajectory(a=0.0, t_end=0.5)
+        rep = check_mass_law(traj, params)
         assert rep.max_rel_dev < 1e-10
 
     def test_damped_rate(self):
-        traj = run_trajectory(a=0.1, t_end=0.5)
-        rep = check_mass_law(traj)
+        traj, params = run_trajectory(a=0.1, t_end=0.5)
+        rep = check_mass_law(traj, params)
         assert rep.max_rel_dev < 1e-10  # fitted rate within 1e-10 of 2a
 
     def test_closed_form_ratio(self):
-        traj = run_trajectory(a=0.1, t_end=2.0)
-        m = traj.column("mass_sq")
+        traj, _ = run_trajectory(a=0.1, t_end=2.0)
+        m = traj.columns["mass_sq"]
         assert m[-1] / m[0] == pytest.approx(np.exp(-0.4), rel=1e-12)
 
     def test_needs_two_samples(self):
-        traj = TrajectoryRecord(params=PhysParams(n=1), backend=Backend.GAUGE_FRAME)
+        traj = TrajectoryRecord(columns={"t": np.array([0.0]),
+                                         "mass_sq": np.array([1.0])})
         with pytest.raises(InsufficientDataError):
-            check_mass_law(traj)
+            check_mass_law(traj, PhysParams(n=1))
 
 
 class TestEnergyRate:
     def test_conservative_limit(self):
-        traj = run_trajectory(a=0.0, t_end=1.0, dt0=1e-4)
-        rep = check_energy_rate(traj, traj.params)
+        traj, params = run_trajectory(a=0.0, t_end=1.0, dt0=1e-4)
+        rep = check_energy_rate(traj, params)
         assert rep.max_rel_dev < 1e-8
 
     def test_damped_rate(self):
-        traj = run_trajectory(a=0.1, t_end=1.0)
-        rep = check_energy_rate(traj, traj.params)
+        traj, params = run_trajectory(a=0.1, t_end=1.0)
+        rep = check_energy_rate(traj, params)
         assert rep.max_rel_dev < 1e-4
 
     def test_stark_conservative_ev(self):
         # with a = 0 the potential-frame energy is conserved
-        traj = run_trajectory(a=0.0, E="0.5", t_end=1.0)
-        rep = check_energy_rate(traj, traj.params)
+        traj, params = run_trajectory(a=0.0, E="0.5", t_end=1.0)
+        rep = check_energy_rate(traj, params)
         assert "dEV/dt" in rep.notes
         devv = float(rep.notes.split("dEV/dt dev=")[1])
         assert devv < 1e-4
@@ -159,42 +160,38 @@ class TestEnergyRate:
 
 class TestMomentumLaw:
     def test_e_zero_closed_form(self):
-        traj = run_trajectory(a=0.25, t_end=1.0, k0="0.8")
-        rep = check_momentum_law(traj, traj.params)
+        traj, params = run_trajectory(a=0.25, t_end=1.0, k0="0.8")
+        rep = check_momentum_law(traj, params)
         assert rep.max_rel_dev < 1e-8
 
     def test_linear_stark_adjudicates_first_power(self):
         # nonlinearity off, direct potential: dP/dt = -E mass_sq exactly
-        traj = run_trajectory(
+        traj, params = run_trajectory(
             a=0.0, E="0.5", nl=0.0, backend="direct", t_end=1.0, width=2.0
         )
-        rep = check_momentum_law(traj, traj.params)
+        rep = check_momentum_law(traj, params)
         assert "q=1" in rep.notes.split(";")[0]
         assert rep.max_rel_dev < 1e-6
 
     def test_degenerate_flagged(self):
-        traj = run_trajectory(a=0.0, t_end=0.2)
-        rep = check_momentum_law(traj, traj.params)
+        traj, params = run_trajectory(a=0.0, t_end=0.2)
+        rep = check_momentum_law(traj, params)
         assert "degenerate" in rep.notes
 
     def test_full_equation_still_first_power(self):
         # damping + potential + nonlinearity: q=1 must still win
-        traj = run_trajectory(a=0.1, E="0.4", t_end=1.0, amplitude=0.8)
-        rep = check_momentum_law(traj, traj.params)
+        traj, params = run_trajectory(a=0.1, E="0.4", t_end=1.0, amplitude=0.8)
+        rep = check_momentum_law(traj, params)
         assert "q=1" in rep.notes.split(";")[0]
 
 
 def synthetic_trajectory(t, gsq, stop=StopReason.GRAD_THRESHOLD):
-    traj = TrajectoryRecord(params=PhysParams(n=1), backend=Backend.GAUGE_FRAME)
-    traj.stop_reason = stop
-    for ti, gi in zip(t, gsq):
-        traj.samples.append(DiagnosticsSample(
-            t=float(ti), mass_sq=1.0, grad_sq=float(gi), e0=0.0, ev=0.0,
-            momentum=(0.0,), variance=0.0, lp_sum=0.0, stark_moment=0.0,
-        ))
-        traj.dt_series.append(0.0)
-        traj.fill_series.append(0.0)
-    return traj
+    """A record of the two columns the fit reads."""
+    return TrajectoryRecord(
+        columns={"t": np.asarray(t, dtype=float),
+                 "grad_norm_sq": np.asarray(gsq, dtype=float)},
+        stop_reason=stop,
+    )
 
 
 def manufactured_window(law):
@@ -357,12 +354,12 @@ class TestConcentrationSeries:
         ) + "snapshot_every_steps = 200\n")
         traj = run_scenario(cfg, write=False).traj
         series = concentration_series(traj)
-        masses = traj.column("mass_sq")
+        masses = traj.columns["mass_sq"]
         for point in series:
             assert point.window_mass <= masses[0] + 1e-12
 
     def test_requires_snapshots(self):
-        traj = TrajectoryRecord(params=PhysParams(n=1), backend=Backend.GAUGE_FRAME)
+        traj = TrajectoryRecord(columns={"t": np.array([0.0])})
         with pytest.raises(InsufficientDataError):
             concentration_series(traj)
 

@@ -140,5 +140,5 @@ class TestPseudoConformalProfile:
         ctrl = StepController(dt0=1e-3, cfl_const=0.1, grad_stop=500.0)
         final, traj = evolve(state, 2.0, ctrl, DiagnosticHooks(sample_every_steps=20))
         assert traj.stop_reason is StopReason.T_END
-        grad = traj.column("grad_norm")
+        grad = np.sqrt(traj.columns["grad_norm_sq"])
         assert np.max(grad) < 50.0  # focusing arrested well before resolution loss

@@ -1,5 +1,6 @@
 """Configuration grammar, scenario runner, sweeps, scans, and CLI tests."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -16,9 +17,10 @@ from starknls import (
     sweep,
     threshold_scan,
 )
-from starknls.cli import main as cli_main
+from starknls.cli import load_bundle_record, main as cli_main
+from starknls.diagnostics import detect_blowup_and_fit
 from starknls.errors import BracketError, ConfigError
-from starknls.storage import read_trajectory_csv
+from starknls.storage import read_trajectory_csv, trajectory_header
 
 from conftest import child_env
 
@@ -79,6 +81,15 @@ class TestConfigGrammar:
         bad = BASE + "\n[output]\nbogus_key = 1\n"
         with pytest.raises(ConfigError, match=r":\d+: unknown key 'bogus_key'"):
             ScenarioConfig.from_text(bad)
+
+    def test_removed_seed_key_names_its_line(self):
+        # [output] seed was never read (nothing in a run is random); a config
+        # that still sets it fails like any unknown key
+        bad = BASE + "\n[output]\nseed = 0\n"
+        line = len(bad.splitlines())
+        with pytest.raises(ConfigError, match=rf":{line}: unknown key 'seed'"):
+            ScenarioConfig.from_text(bad)
+        assert "seed" not in ScenarioConfig.from_text(BASE).to_text()
 
     def test_missing_required(self):
         text = BASE.replace("t_end = 0.3", "")
@@ -157,6 +168,20 @@ class TestRunScenario:
                               "Px", "variance", "dt", "spectral_fill"]
         assert cols["t"][0] == 0.0
         assert cols["dt"][0] == 0.0
+
+    @pytest.mark.parametrize("text", [
+        BASE,
+        BASE.replace("n = 1", "n = 2").replace("N = 512", "N = 64,64")
+        .replace("L = 20", "L = 8,8").replace("E = 0", "E = 0.3,-0.2"),
+    ], ids=["1d", "2d_stark"])
+    def test_trajectory_csv_round_trip_is_bit_exact(self, tmp_path, text):
+        cfg = ScenarioConfig.from_text(text)
+        result = run_scenario(cfg, out_dir=tmp_path / "run")
+        cols = read_trajectory_csv(result.out_dir / "trajectory.csv")
+        assert list(cols) == trajectory_header(cfg.n)
+        assert len(cols["t"]) > 2
+        for name, values in cols.items():
+            assert values.tobytes() == result.traj.columns[name].tobytes(), name
 
     def test_rerun_from_echo_is_byte_identical(self, tmp_path):
         cfg = ScenarioConfig.from_text(BASE)
@@ -490,6 +515,26 @@ class TestCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "blew_up=True" in out
+
+    def test_fit_on_bundle_equals_live_fit(self, tmp_path):
+        text = BASE.replace("recipe = gaussian", "recipe = quadratic_phase_q")
+        text = text.replace("N = 512", "N = 8192").replace("L = 20", "L = 13")
+        text = text.replace("t_end = 0.3", "t_end = 5.0")
+        text = text.replace("a = 0.1", "a = 0.01")
+        cfg = ScenarioConfig.from_text(with_initial(text, c=1.2))
+        cfg = cfg.apply_overrides(
+            ["controller.grad_stop=400", "observers.sample_every_steps=1"]
+        )
+        result = run_scenario(cfg, out_dir=tmp_path / "runout")
+        assert result.blowup is not None
+        assert result.blowup.window_points >= 20  # a fit, not the bare fallback
+        # what fit-blowup RUNDIR fits: the record read back from the bundle
+        refit = detect_blowup_and_fit(load_bundle_record(result.out_dir))
+        for field in dataclasses.fields(refit):
+            got = getattr(refit, field.name)
+            want = getattr(result.blowup, field.name)
+            assert type(got) is type(want), field.name
+            assert got == want, field.name
 
     def test_sweep_verb(self, tmp_path):
         cfg_path = tmp_path / "cfg.cfg"

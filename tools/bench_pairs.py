@@ -19,9 +19,17 @@ method) over the pairs, the relative change of the medians, the parent's and
 the change's interquartile spread relative to their medians, the benchmark's
 bound, and the number of pairs the change read strictly better.
 
-One ``--trace 1`` run per side follows the pairs (parent first), so the
-entry also holds each side's per-layer metrics, which the benchmark reports
-as medians over the traced passes of that run: the layer that moved.
+After the pairs, one more untimed pass per side (``benchmark/workload.py``,
+the command ``run.py`` runs for each pass) writes the workload's bundle to
+that side's ``.bench_out/WORKLOAD``; ``run.py`` removes its own bundles when
+it is done. The entry lists under ``bundle_bytes`` every file whose bytes
+differ between the two sides or that only one side wrote. A bundle whose
+config echoes an input path (the perturbed initial field) differs in
+``config_echo.cfg`` by that path alone.
+
+One ``--trace 1`` run per side follows (parent first), so the entry also
+holds each side's per-layer metrics, which the benchmark reports as medians
+over the traced passes of that run: the layer that moved.
 """
 
 from __future__ import annotations
@@ -31,11 +39,13 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from importlib import metadata
 from pathlib import Path
 
@@ -71,6 +81,31 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float,
     row = {name: m["value"] for name, m in report["metrics"].items()}
     row.update(attempted=report["attempted"], failed=report["failed"])
     return row
+
+
+def bundle_pass(checkout: Path, workload: str, seed: int) -> Path:
+    """One untimed workload pass on checkout into its .bench_out/WORKLOAD,
+    the directory benchmark/run.py gives each pass; returns the directory."""
+    out = checkout / ".bench_out" / workload
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir(parents=True)
+    subprocess.run([sys.executable, "benchmark/workload.py", "--workload", workload,
+                    "--seed", str(seed), "--out", str(out),
+                    "--spawned", repr(time.monotonic())],
+                   cwd=checkout, check=True, capture_output=True, text=True)
+    return out
+
+
+def bundle_bytes(parent: Path, change: Path) -> dict:
+    """The files of two bundles that differ in bytes or exist on one side only."""
+    names = {p.relative_to(root).as_posix()
+             for root in (parent, change) for p in root.rglob("*") if p.is_file()}
+    differ = sorted(
+        name for name in names
+        if not ((parent / name).is_file() and (change / name).is_file()
+                and (parent / name).read_bytes() == (change / name).read_bytes())
+    )
+    return {"files": len(names), "differ": differ}
 
 
 def side_stats(values: list[float]) -> dict:
@@ -166,6 +201,18 @@ def main(argv=None) -> int:
                               f"{pair[side]['run_s']:.3f}"
                               if "error" not in pair[side] else "no report")
                 for side in ("parent", "change")), flush=True)
+        try:
+            bundles = bundle_bytes(bundle_pass(parent_dir, args.workload, args.seed),
+                                   bundle_pass(ROOT, args.workload, args.seed))
+        except subprocess.CalledProcessError as exc:
+            bundles = {"error": f"exit {exc.returncode}: {exc.stderr[-2000:]}"}
+        finally:
+            shutil.rmtree(ROOT / ".bench_out" / args.workload, ignore_errors=True)
+            try:
+                (ROOT / ".bench_out").rmdir()
+            except OSError:
+                pass                    # absent, or another workload's output is there
+        print(f"bundle bytes: {bundles}", flush=True)
         traced = {side: run_side(parent_dir if side == "parent" else ROOT,
                                  args.workload, args.seed, seconds, trace=1)
                   for side in ("parent", "change")}
@@ -193,6 +240,7 @@ def main(argv=None) -> int:
     bench.setdefault("workloads", {})[f"{args.workload}@seed{args.seed}"] = {
         "summary": summarize(pairs, end_to_end),
         "pairs": pairs,
+        "bundle_bytes": bundles,
         "per_layer": {
             "command": f"python3 benchmark/run.py --workload {args.workload} "
                        f"--seed {args.seed} --seconds {seconds:g} --trace 1",
