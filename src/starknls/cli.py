@@ -79,7 +79,7 @@ def _cmd_run(args) -> int:
 def _cmd_check_laws(args) -> int:
     cfg = _load_cfg(args)
     result = harness.run_scenario(cfg, out_dir=args.out)
-    for report in harness.run_law_checks(result.traj, cfg):
+    for report in result.law_checks:
         print(f"{report.law_id}: max_rel_dev={report.max_rel_dev:.3e}  {report.notes}")
     return result.exit_code
 

@@ -12,8 +12,10 @@ The solver is a Petviashvili (spectral renormalization) fixed point
 
 which has S_m -> 1 at the solution; the stabilizing power gamma removes the
 scaling degeneracy of the bare map. The iterate is real, so each iteration
-costs three real transforms on the half spectrum: Q_m^p forward, and Q_{m+1}
-and its spectral Laplacian (for the residual) back.
+costs two real transforms on the half spectrum: Q_m^p forward and Q_{m+1}
+back. The equation residual needs a third, the spectral Laplacian of the
+iterate; it is evaluated only once the iterates have settled below tol, and
+for the last iterate of a spent budget.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSeedError, IterationError, ResolutionError
-from .spectral import Field, GridSpec, l2_norm_sq
+from .spectral import Field, GridSpec, _keep_transform_scratch, l2_norm_sq
 
 DEFAULT_TOL = {1: 1e-10, 2: 1e-8, 3: 1e-8}
 
@@ -121,6 +123,9 @@ def petviashvili(
             f"(need dx < {MAX_RESOLVED_DX})"
         )
 
+    # the iteration's transforms and temporaries would otherwise be faulted
+    # in afresh on every iteration (docs/DECISIONS.md)
+    _keep_transform_scratch()
     p = 1.0 + 4.0 / n
     gamma = p / (p - 1.0)
     # the iterate is real: work on the rfftn half spectrum (last axis N//2+1)
@@ -157,9 +162,12 @@ def petviashvili(
         change = float(np.max(np.abs(q_new - q)))
         q, qh = q_new, qh_new
         qp = q**p
-        residual = float(np.max(np.abs(inverse(-ksq * qh) - q + qp)))
-        if change < tol and residual < resid_target:
-            break
+        # the residual costs a third transform: evaluate it only where the
+        # stopping test reads it, and for the last iterate of a spent budget
+        if change < tol or m == max_iter:
+            residual = float(np.max(np.abs(inverse(-ksq * qh) - q + qp)))
+            if change < tol and residual < resid_target:
+                break
     else:
         raise IterationError(
             f"no convergence in {max_iter} iterations (residual {residual:.3e})",

@@ -64,6 +64,7 @@ class RunResult:
     blowup: object | None
     exit_code: int
     summary: dict
+    law_checks: list | None  # the rows of law_checks.csv; None unless written
 
 
 def _execute(cfg: ScenarioConfig):
@@ -124,10 +125,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, write=True) -> RunResult:
             cfg, final.observed_field()
         )
 
-    out = None
+    out = law_checks = None
     if write:
         out = resolve_out_dir(cfg, out_dir)
-        _write_bundle(out, cfg, traj, blowup, summary)
+        law_checks = run_law_checks(traj, cfg)
+        _write_bundle(out, cfg, traj, blowup, summary, law_checks)
     return RunResult(
         cfg=cfg,
         out_dir=out,
@@ -136,6 +138,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, write=True) -> RunResult:
         blowup=blowup,
         exit_code=_exit_code(traj.stop_reason),
         summary=summary,
+        law_checks=law_checks,
     )
 
 
@@ -158,7 +161,7 @@ def backend_difference(cfg: ScenarioConfig, reference: Field | None = None) -> f
     return float(np.sqrt(np.sum(np.abs(diff) ** 2) * reference.grid.cell_volume))
 
 
-def _write_bundle(out: Path, cfg, traj, blowup, summary) -> None:
+def _write_bundle(out: Path, cfg, traj, blowup, summary, law_checks) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_echo.cfg").write_text(cfg.to_text())
     write_trajectory_csv(out / "trajectory.csv", traj)
@@ -167,11 +170,10 @@ def _write_bundle(out: Path, cfg, traj, blowup, summary) -> None:
         [{"key": k, "value": v if isinstance(v, str) else fmt_float(v)
           if isinstance(v, float) else str(v)} for k, v in summary.items()],
     )
-    reports = run_law_checks(traj, cfg)
     write_report_csv(
         out / "law_checks.csv",
         [{"law": r.law_id, "max_rel_dev": r.max_rel_dev, "notes": r.notes}
-         for r in reports],
+         for r in law_checks],
     )
     if blowup is not None:
         write_report_csv(out / "blowup_report.csv", [{

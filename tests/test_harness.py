@@ -1,6 +1,7 @@
 """Configuration grammar, scenario runner, sweeps, scans, and CLI tests."""
 
 import dataclasses
+import math
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from starknls import (
     a_star_bisection,
     backend_difference,
     convergence_study,
+    harness,
     run_scenario,
     sweep,
     threshold_scan,
@@ -505,9 +507,12 @@ class TestCLI:
         text = text.replace("a = 0.1", "a = 0.01")
         cfg_path = tmp_path / "blowup.cfg"
         cfg_path.write_text(with_initial(text, c=1.2))
+        # sampled every step up to grad_stop 400, the collapse window holds
+        # enough samples for the fit (test_fit_on_bundle_equals_live_fit)
         rc = cli_main([
             "run", str(cfg_path), "--out", str(tmp_path / "runout"),
-            "--set", "controller.grad_stop=100",
+            "--set", "controller.grad_stop=400",
+            "--set", "observers.sample_every_steps=1",
         ])
         assert rc == 2
         capsys.readouterr()
@@ -515,6 +520,34 @@ class TestCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "blew_up=True" in out
+        printed = dict(item.split("=", 1) for item in out.split())
+        for key in ("gamma", "loglog_residual", "power_residual",
+                    "sqrt_rate_residual"):
+            assert math.isfinite(float(printed[key])), key
+
+    def test_check_laws_verb_runs_the_checks_once(self, tmp_path, capsys,
+                                                  monkeypatch):
+        calls = []
+        run_law_checks = harness.run_law_checks
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_law_checks(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_law_checks", counted)
+        cfg_path = tmp_path / "cfg.cfg"
+        cfg_path.write_text(BASE)
+        out = tmp_path / "out"
+        assert cli_main(["check-laws", str(cfg_path), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        # the printout is law_checks.csv, row for row
+        printed = capsys.readouterr().out.splitlines()
+        rows = (out / "law_checks.csv").read_text().splitlines()
+        assert rows[0] == "law,max_rel_dev,notes"
+        assert len(printed) == len(rows) - 1 >= 3
+        for line, row in zip(printed, rows[1:]):
+            law, dev, notes = row.split(",", 2)
+            assert line == f"{law}: max_rel_dev={float(dev):.3e}  {notes}"
 
     def test_fit_on_bundle_equals_live_fit(self, tmp_path):
         text = BASE.replace("recipe = gaussian", "recipe = quadratic_phase_q")
