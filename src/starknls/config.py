@@ -314,6 +314,10 @@ class ScenarioConfig:
                 f"[scenario] t_end must be positive and finite, got {self.t_end}"
             )
         rp = self.recipe_params
+        for key in ("x0", "k0"):
+            if len(rp[key]) not in (1, self.n):
+                raise ConfigError(f"[initial] {key} has {len(rp[key])} "
+                                  f"components; need 1 or n = {self.n}")
         dx = max(grid.dx)
         if self.needs_ground_state() and dx >= 0.2:
             raise ConfigError(
@@ -344,8 +348,6 @@ class ScenarioConfig:
 
     def ground_state(self) -> GroundState:
         """Ground state on this scenario's grid (memoized globally)."""
-        if self.n == 1:
-            return cached_ground_state(self.n, N=self.N[0], L=self.L[0])
         if len(set(self.N)) != 1 or len(set(self.L)) != 1:
             raise ConfigError("ground-state recipes require an isotropic grid")
         return cached_ground_state(self.n, N=self.N[0], L=self.L[0])

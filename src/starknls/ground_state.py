@@ -20,7 +20,6 @@ for the last iterate of a spent budget.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +87,6 @@ def _recenter_peak(q: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def petviashvili(
     grid: GridSpec,
-    n: int | None = None,
     tol: float | None = None,
     max_iter: int = 500,
     seed_width: float = 1.0,
@@ -97,7 +95,6 @@ def petviashvili(
 
     Args:
         grid: periodic grid; must satisfy dx < 0.2 on every axis.
-        n: dimension (defaults to grid.n; must match).
         tol: stop when the sup-norm change between iterates falls below tol
             and the equation residual is below 10 * tol.
         max_iter: iteration budget.
@@ -109,10 +106,7 @@ def petviashvili(
         IterationError: no convergence within max_iter (carries the last
             residual).
     """
-    if n is None:
-        n = grid.n
-    if n != grid.n:
-        raise ResolutionError(f"grid dimension {grid.n} does not match n={n}")
+    n = grid.n
     if tol is None:
         tol = DEFAULT_TOL[n]
     if tol <= 0:
@@ -234,7 +228,6 @@ def radial_interpolant(gs: GroundState):
 
 
 _CACHE: dict[tuple, GroundState] = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def cached_ground_state(
@@ -243,7 +236,7 @@ def cached_ground_state(
     L: float | None = None,
     tol: float | None = None,
 ) -> GroundState:
-    """Per-dimension memoized ground state (exclusive write, shared read)."""
+    """Ground state memoized per dimension, grid and tolerance."""
     if N is None or L is None:
         N_def, L_def = DEFAULT_GRIDS[n]
         N = N if N is not None else N_def
@@ -251,15 +244,9 @@ def cached_ground_state(
     if tol is None:
         tol = DEFAULT_TOL[n]
     key = (n, N, float(L), float(tol))
-    gs = _CACHE.get(key)
-    if gs is not None:
-        return gs
-    with _CACHE_LOCK:
-        gs = _CACHE.get(key)
-        if gs is None:
-            gs = petviashvili(GridSpec.create(n, L, N), n=n, tol=tol)
-            _CACHE[key] = gs
-    return gs
+    if key not in _CACHE:
+        _CACHE[key] = petviashvili(GridSpec.create(n, L, N), tol=tol)
+    return _CACHE[key]
 
 
 def threshold_mass(n: int, **grid_kwargs) -> float:

@@ -17,8 +17,8 @@ not a failure), 1 error (divergence or resolution loss).
 
 from __future__ import annotations
 
+import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -450,48 +450,65 @@ class SweepSpec:
             raise ConfigError("parallelism must be >= 1")
 
 
+def _sweep_member(cfg: ScenarioConfig, parameter: str, out_root: Path, indexed):
+    """Run one sweep member into out_root/<param>_<index>; return its row.
+    Module-level, so that a worker process can unpickle it."""
+    i, value = indexed
+    sub = cfg.apply_overrides([f"{SWEEP_AXES[parameter]}={value}"])
+    result = run_scenario(sub, out_dir=out_root / f"{parameter}_{i:03d}")
+    return {
+        "index": i,
+        parameter: value,
+        "outcome": {0: "global", 2: "blowup"}.get(result.exit_code, "error"),
+        "stop_reason": result.traj.stop_reason.value,
+        "t_final": float(result.state.t),
+        "exit_code": result.exit_code,
+    }
+
+
+def _raise(exc):
+    raise exc
+
+
 def sweep(spec: SweepSpec, cfg: ScenarioConfig, out_root) -> list[dict]:
-    """Run one scenario per value in parallel; deterministic summary rows.
+    """Run one scenario per value; deterministic summary rows in value order.
 
     Each run writes its own bundle under out_root/<param>_<index>; partial
-    failures are recorded per run and do not abort the sweep.
+    failures are recorded per run and do not abort the sweep. With
+    parallelism > 1 the members run in forked worker processes, and a worker
+    that dies leaves an error row for each member it did not finish.
     """
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
-    key = SWEEP_AXES[spec.parameter]
-
-    def one(indexed):
-        i, value = indexed
-        run_dir = out_root / f"{spec.parameter}_{i:03d}"
-        try:
-            sub = cfg.apply_overrides([f"{key}={value}"])
-            result = run_scenario(sub, out_dir=run_dir)
-            return {
-                "index": i,
-                spec.parameter: value,
-                "outcome": {0: "global", 2: "blowup"}.get(
-                    result.exit_code, "error"
-                ),
-                "stop_reason": result.traj.stop_reason.value,
-                "t_final": float(result.state.t),
-                "exit_code": result.exit_code,
-            }
-        except StarkNLSError as exc:
-            return {
-                "index": i,
-                spec.parameter: value,
-                "outcome": "error",
-                "stop_reason": f"exception: {exc}",
-                "t_final": float("nan"),
-                "exit_code": 1,
-            }
-
+    member = functools.partial(_sweep_member, cfg, spec.parameter, out_root)
     items = list(enumerate(spec.values))
-    if spec.parallelism == 1:
-        rows = [one(item) for item in items]
+    workers = min(spec.parallelism, len(items), os.cpu_count() or 1)
+    failures = (StarkNLSError,)
+    if workers == 1:
+        runs = [functools.partial(member, item) for item in items]
     else:
-        with ThreadPoolExecutor(max_workers=spec.parallelism) as pool:
-            rows = list(pool.map(one, items))
-    rows.sort(key=lambda r: r["index"])
+        # imported here so that `import starknls` loads neither module; fork
+        # hands the workers the imported package and needs no __main__ guard
+        # in the caller (docs/DECISIONS.md, "Sweep members run in processes")
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        failures += (BrokenProcessPool,)
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            runs = []
+            for item in items:
+                try:
+                    runs.append(pool.submit(member, item).result)
+                except BrokenProcessPool as exc:  # a worker died already
+                    runs.append(functools.partial(_raise, exc))
+    rows = []
+    for (i, value), run in zip(items, runs):
+        try:
+            rows.append(run())
+        except failures as exc:
+            rows.append({"index": i, spec.parameter: value, "outcome": "error",
+                         "stop_reason": f"exception: {exc}",
+                         "t_final": float("nan"), "exit_code": 1})
     write_report_csv(out_root / "sweep_summary.csv", rows)
     return rows

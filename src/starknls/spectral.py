@@ -53,12 +53,12 @@ class GridSpec:
         object.__setattr__(
             self, "half_widths", _as_tuple(self.half_widths, self.n, float)
         )
-        for N in self.shape:
+        for N, L in zip(self.shape, self.half_widths):
             if N < 2 or (N & (N - 1)) != 0:
                 raise ValueError(f"points per axis must be a power of two, got {N}")
-        for L in self.half_widths:
-            if not (L > 0 and np.isfinite(L)):
-                raise ValueError(f"half-width must be positive and finite, got {L}")
+            if not 0 < 2.0 * L / N < np.inf:  # 2L/N can underflow or overflow
+                raise ValueError(f"half-width {L} at N={N}: spacing 2L/N "
+                                 "must be positive and finite")
 
     @classmethod
     def create(cls, n: int, L, N) -> "GridSpec":
@@ -175,8 +175,8 @@ class Field:
     """Complex wave-function samples attached to a grid.
 
     Instances are immutable values: the sample array is made read-only at
-    construction and the grid reference never changes, so fields are safe to
-    share across threads.
+    construction and the grid reference never changes, so a field can be
+    shared without a copy.
     """
 
     __slots__ = ("grid", "data")

@@ -1,9 +1,12 @@
 """Configuration grammar, scenario runner, sweeps, scans, and CLI tests."""
 
+import concurrent.futures.process
 import dataclasses
 import math
+import os
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -52,6 +55,52 @@ dt0 = 1e-3
 sample_every_steps = 5
 """
 
+
+
+_TEST_PID = os.getpid()
+
+
+def _kill_worker(cfg, parameter, out_root, indexed):
+    """A sweep member that kills the worker process it runs in (never the
+    test process: there it fails instead)."""
+    if os.getpid() != _TEST_PID:
+        os._exit(1)
+    raise AssertionError("sweep member ran in the test process")
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count asked
+    for, starts no process and runs each submission inline."""
+
+    requested = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class _PoolBrokenAtSecondSubmission(_RecordingPool):
+    """A pool whose worker died while the members were being submitted."""
+
+    submitted = False
+
+    def submit(self, fn, *args):
+        if self.submitted:
+            raise concurrent.futures.process.BrokenProcessPool(
+                "a worker died during submission"
+            )
+        self.submitted = True
+        return super().submit(fn, *args)
 
 
 def with_initial(text, **keys):
@@ -144,6 +193,15 @@ class TestConfigGrammar:
         with pytest.raises(ConfigError, match="snapshot_grad_factor"):
             ScenarioConfig.from_text(text)
 
+    @pytest.mark.parametrize("key", ["x0", "k0"])
+    def test_vector_of_wrong_length_rejected(self, key):
+        # a 2-vector on a 1D grid would fail in np.broadcast_to at run time
+        text = with_initial(BASE, **{key: "1,2"})
+        with pytest.raises(ConfigError, match=rf"\[initial\] {key} has 2 comp"):
+            ScenarioConfig.from_text(text)
+        cfg = ScenarioConfig.from_text(with_initial(BASE, **{key: "1"}))
+        assert cfg.recipe_params[key] == (1.0,)
+
     def test_echo_round_trip(self):
         cfg = ScenarioConfig.from_text(BASE)
         again = ScenarioConfig.from_text(cfg.to_text())
@@ -184,6 +242,15 @@ class TestRunScenario:
         assert len(cols["t"]) > 2
         for name, values in cols.items():
             assert values.tobytes() == result.traj.columns[name].tobytes(), name
+
+    def test_zero_momentum_obeys_momentum_law(self):
+        # a real Gaussian keeps P = 0 to round-off; the law check must not
+        # divide that round-off by itself
+        cfg = ScenarioConfig.from_text(BASE)
+        result = run_scenario(cfg, write=False)
+        assert np.max(np.abs(result.traj.columns["Px"])) < 1e-12
+        reports = {r.law_id: r for r in harness.run_law_checks(result.traj, cfg)}
+        assert reports["momentum_decay"].max_rel_dev < 1e-10
 
     def test_rerun_from_echo_is_byte_identical(self, tmp_path):
         cfg = ScenarioConfig.from_text(BASE)
@@ -373,6 +440,46 @@ class TestSweep:
         with pytest.raises(ConfigError, match="sweep parameter"):
             SweepSpec(parameter="q", values=("1",))
 
+    def test_workers_capped_by_values(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_RecordingPool, "requested", [])
+        monkeypatch.setattr(
+            concurrent.futures.process, "ProcessPoolExecutor", _RecordingPool
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        rows = sweep(
+            SweepSpec(parameter="a", values=("0.01", "0.1"), parallelism=10**6),
+            ScenarioConfig.from_text(BASE), tmp_path / "capped",
+        )
+        assert _RecordingPool.requested == [2]
+        assert [r["outcome"] for r in rows] == ["global", "global"]
+
+    def test_dead_worker_becomes_error_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_sweep_member", _kill_worker)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rows = sweep(
+            SweepSpec(parameter="a", values=("0.01", "0.1"), parallelism=2),
+            ScenarioConfig.from_text(BASE), tmp_path / "dead",
+        )
+        assert [r["index"] for r in rows] == [0, 1]
+        for row in rows:
+            assert row["outcome"] == "error" and row["exit_code"] == 1
+            assert row["stop_reason"].startswith("exception: ")
+            assert math.isnan(row["t_final"])
+        summary = (tmp_path / "dead" / "sweep_summary.csv").read_text()
+        assert len(summary.splitlines()) == 3
+
+    def test_pool_broken_at_submission_becomes_error_rows(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
+                            _PoolBrokenAtSecondSubmission)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rows = sweep(
+            SweepSpec(parameter="a", values=("0.01", "0.1"), parallelism=2),
+            ScenarioConfig.from_text(BASE), tmp_path / "broken",
+        )
+        assert [r["outcome"] for r in rows] == ["global", "error"]
+        assert rows[1]["stop_reason"] == "exception: a worker died during submission"
+
     def test_partial_failure_recorded(self, tmp_path):
         cfg = ScenarioConfig.from_text(BASE)
         rows = sweep(
@@ -450,6 +557,12 @@ class TestCLI:
         assert "Traceback" not in err
         assert err.startswith("error: ") and name in err
         return err
+
+    @pytest.mark.parametrize("key", ["x0", "k0"])
+    def test_run_verb_vector_of_wrong_length(self, tmp_path, capsys, key):
+        cfg_path = tmp_path / "vector.cfg"
+        cfg_path.write_text(with_initial(BASE, **{key: "1,2"}))
+        self.assert_clean_error(["run", str(cfg_path)], key, capsys)
 
     def test_run_verb_missing_config(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.cfg")
@@ -630,8 +743,10 @@ class TestCLI:
         assert "bracket" in out and "monotone outcome pattern: True" in out
 
     def test_import_loads_no_scipy(self):
+        # nor the process pool of a parallel sweep, which imports it lazily
         code = ("import sys, starknls, starknls.cli; "
-                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+                "print([m for m in sys.modules if m.split('.')[0] in "
+                "('scipy', 'multiprocessing') or m == 'concurrent.futures.process'])")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
