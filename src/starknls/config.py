@@ -8,9 +8,11 @@ Grammar (one statement per line):
 
 Unknown sections or keys are hard errors with line numbers; inline comments
 are not supported (a "#" inside a value is part of the value). Vector values
-(E, x0, k0, and per-axis N or L) are comma-separated. Every key has a typed
-default except the required ones: scenario.id, scenario.t_end, grid.n,
-grid.N, grid.L, initial.recipe.
+(N, L, E, x0, k0) are comma-separated and take one component, used on every
+axis, or n; any other length fails naming the key. A vector is kept as
+written, so the echo repeats it. Every key has a typed default except the
+required ones: scenario.id, scenario.t_end, grid.n, grid.N, grid.L,
+initial.recipe.
 
 Sections and keys:
 
@@ -27,13 +29,13 @@ Sections and keys:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ResolutionError, StarkNLSError
-from .ground_state import GroundState, cached_ground_state
+from .ground_state import MAX_RESOLVED_DX, GroundState, cached_ground_state
 from .gauge import PseudoConformalParams, pseudo_conformal_profile
 from .propagator import Backend, DiagnosticHooks, StepController
 from .spectral import Field, GridSpec, PhysParams
@@ -41,26 +43,65 @@ from .storage import fmt_float, read_snapshot
 
 RECIPES = ("scaled_q", "quadratic_phase_q", "pseudo_conformal", "gaussian", "snapshot")
 
-# key -> (type tag, default); default None means required, "" means optional-empty
+
+def _one_of(choices, make=str):
+    def parse(text):
+        if text not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}")
+        return make(text)
+    return parse
+
+
+def _bool(text):
+    low = text.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+# type tag -> (parse the value text, write it back)
+_TAGS = {
+    "str": (str, str),
+    "int": (int, str),
+    "float": (float, fmt_float),
+    "optfloat": (lambda t: float(t) if t else None,
+                 lambda v: "" if v is None else fmt_float(v)),
+    "bool": (_bool, lambda v: "true" if v else "false"),
+    "floats": (lambda t: tuple(float(v) for v in t.split(",")),
+               lambda v: ",".join(map(fmt_float, v))),
+    "ints": (lambda t: tuple(int(v) for v in t.split(",")),
+             lambda v: ",".join(map(str, v))),
+    "backend": (_one_of(tuple(b.value for b in Backend), Backend),
+                lambda v: v.value),
+    "recipe": (_one_of(RECIPES), str),
+}
+
+_MUST_SET = object()  # the default of a key that every config sets
+
+# section -> key -> (type tag, default). A key names its ScenarioConfig field,
+# apart from _FIELDS below and the [initial] keys other than recipe, which
+# fill recipe_params.
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "scenario": {
-        "id": ("str", None),
-        "t_end": ("float", None),
-        "backend": ("str", "gauge"),
+        "id": ("str", _MUST_SET),
+        "t_end": ("float", _MUST_SET),
+        "backend": ("backend", Backend.GAUGE_FRAME),
     },
     "grid": {
-        "n": ("int", None),
-        "N": ("ints", None),
-        "L": ("floats", None),
+        "n": ("int", _MUST_SET),
+        "N": ("ints", _MUST_SET),
+        "L": ("floats", _MUST_SET),
     },
     "physics": {
-        "a": ("float", 0.0),
-        "E": ("floats", (0.0,)),
-        "p": ("optfloat", None),
-        "nl_strength": ("float", 1.0),
+        "a": ("float", PhysParams.a),
+        "E": ("floats", PhysParams.E),
+        "p": ("optfloat", PhysParams.p),
+        "nl_strength": ("float", PhysParams.nl_strength),
     },
     "initial": {
-        "recipe": ("str", None),
+        "recipe": ("recipe", _MUST_SET),
         "c": ("float", 1.0),
         "b": ("float", 1.0),
         "theta": ("float", 0.0),
@@ -72,52 +113,27 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "path": ("str", ""),
     },
     "controller": {
-        "dt0": ("float", 1e-3),
-        "cfl": ("float", 0.2),
-        "dt_min": ("float", 1e-12),
-        "spectral_fill_max": ("float", 0.1),
-        "grad_stop": ("float", 1e4),
+        "dt0": ("float", StepController.dt0),
+        "cfl": ("float", StepController.cfl_const),
+        "dt_min": ("float", StepController.dt_min),
+        "spectral_fill_max": ("float", StepController.spectral_fill_max),
+        "grad_stop": ("float", StepController.grad_stop),
     },
     "observers": {
-        "sample_every_steps": ("int", 1),
-        "snapshot_every_steps": ("int", 0),
-        "snapshot_grad_factor": ("optfloat", None),
+        "sample_every_steps": ("int", DiagnosticHooks.sample_every_steps),
+        "snapshot_every_steps": ("int", DiagnosticHooks.snapshot_every_steps),
+        "snapshot_grad_factor": ("optfloat", DiagnosticHooks.snapshot_grad_factor),
     },
     "output": {
         "dir": ("str", ""),
         "write_snapshots": ("bool", False),
     },
 }
-
-_REQUIRED = [("scenario", "id"), ("scenario", "t_end"),
-             ("grid", "n"), ("grid", "N"), ("grid", "L"),
-             ("initial", "recipe")]
+_FIELDS = {"id": "scenario_id", "dir": "out_dir"}
 
 
-def _convert(tag: str, text: str, where: str):
-    try:
-        if tag == "str":
-            return text
-        if tag == "int":
-            return int(text)
-        if tag == "float":
-            return float(text)
-        if tag == "bool":
-            low = text.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
-        if tag == "optfloat":
-            return float(text) if text != "" else None
-        if tag == "floats":
-            return tuple(float(v) for v in text.split(","))
-        if tag == "ints":
-            return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse {text!r} as {tag}: {exc}") from None
-    raise ConfigError(f"{where}: unknown type tag {tag}")
+def _in_recipe_params(section: str, key: str) -> bool:
+    return section == "initial" and key != "recipe"
 
 
 def _parse_sections(text: str, source: str) -> dict[str, dict[str, str]]:
@@ -154,7 +170,9 @@ def _parse_sections(text: str, source: str) -> dict[str, dict[str, str]]:
 
 @dataclass
 class ScenarioConfig:
-    """Typed scenario description; see the module docstring for the grammar."""
+    """Typed scenario description; see the module docstring for the grammar.
+    Built by from_text, from_file and apply_overrides, which take every
+    default from _SCHEMA."""
 
     scenario_id: str
     t_end: float
@@ -167,78 +185,48 @@ class ScenarioConfig:
     p: float | None
     nl_strength: float
     recipe: str
-    recipe_params: dict = dc_field(default_factory=dict)
-    dt0: float = 1e-3
-    cfl: float = 0.2
-    dt_min: float = 1e-12
-    spectral_fill_max: float = 0.1
-    grad_stop: float = 1e4
-    sample_every_steps: int = 1
-    snapshot_every_steps: int = 0
-    snapshot_grad_factor: float | None = None
-    out_dir: str = ""
-    write_snapshots: bool = False
+    recipe_params: dict
+    dt0: float
+    cfl: float
+    dt_min: float
+    spectral_fill_max: float
+    grad_stop: float
+    sample_every_steps: int
+    snapshot_every_steps: int
+    snapshot_grad_factor: float | None
+    out_dir: str
+    write_snapshots: bool
 
     # ---- construction -----------------------------------------------------
 
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "ScenarioConfig":
-        raw = _parse_sections(text, source)
-        values: dict[tuple[str, str], object] = {}
+        return cls._from_sections(_parse_sections(text, source), source)
+
+    @classmethod
+    def _from_sections(cls, raw: dict[str, dict[str, str]], source: str):
+        """The validated config of the value texts in raw, section by section."""
+        fields: dict = {"recipe_params": {}}
         for section, keys in _SCHEMA.items():
             got = raw.get(section, {})
             for key, (tag, default) in keys.items():
                 if key in got:
-                    values[(section, key)] = _convert(
-                        tag, got[key], f"{source}: [{section}] {key}"
-                    )
+                    try:
+                        value = _TAGS[tag][0](got[key])
+                    except ValueError as exc:
+                        raise ConfigError(
+                            f"{source}: [{section}] {key}: cannot parse "
+                            f"{got[key]!r} as {tag}: {exc}"
+                        ) from None
+                elif default is _MUST_SET:
+                    raise ConfigError(f"{source}: missing required key [{section}] {key}")
                 else:
-                    values[(section, key)] = default
-        for section, key in _REQUIRED:
-            if values[(section, key)] is None:
-                raise ConfigError(f"{source}: missing required key [{section}] {key}")
-
-        backend_text = values[("scenario", "backend")]
-        try:
-            backend = Backend(backend_text)
-        except ValueError:
-            raise ConfigError(
-                f"{source}: [scenario] backend must be 'gauge' or 'direct', "
-                f"got {backend_text!r}"
-            ) from None
-        recipe = values[("initial", "recipe")]
-        if recipe not in RECIPES:
-            raise ConfigError(
-                f"{source}: [initial] recipe must be one of {RECIPES}, got {recipe!r}"
-            )
-        recipe_params = {
-            k: values[("initial", k)]
-            for k in ("c", "b", "theta", "T", "x0", "width", "amplitude", "k0", "path")
-        }
-        cfg = cls(
-            scenario_id=values[("scenario", "id")],
-            t_end=values[("scenario", "t_end")],
-            backend=backend,
-            n=values[("grid", "n")],
-            N=values[("grid", "N")],
-            L=values[("grid", "L")],
-            a=values[("physics", "a")],
-            E=values[("physics", "E")],
-            p=values[("physics", "p")],
-            nl_strength=values[("physics", "nl_strength")],
-            recipe=recipe,
-            recipe_params=recipe_params,
-            dt0=values[("controller", "dt0")],
-            cfl=values[("controller", "cfl")],
-            dt_min=values[("controller", "dt_min")],
-            spectral_fill_max=values[("controller", "spectral_fill_max")],
-            grad_stop=values[("controller", "grad_stop")],
-            sample_every_steps=values[("observers", "sample_every_steps")],
-            snapshot_every_steps=values[("observers", "snapshot_every_steps")],
-            snapshot_grad_factor=values[("observers", "snapshot_grad_factor")],
-            out_dir=values[("output", "dir")],
-            write_snapshots=values[("output", "write_snapshots")],
-        )
+                    value = default
+                if _in_recipe_params(section, key):
+                    fields["recipe_params"][key] = value
+                else:
+                    fields[_FIELDS.get(key, key)] = value
+        cfg = cls(**fields)
         cfg.validate()
         return cfg
 
@@ -252,8 +240,7 @@ class ScenarioConfig:
 
     def apply_overrides(self, assignments: list[str]) -> "ScenarioConfig":
         """Apply 'section.key=value' command-line overrides and revalidate."""
-        text = self.to_text()
-        raw = _parse_sections(text, "<echo>")
+        raw = self._sections()
         for item in assignments:
             head, _, value = item.partition("=")
             section, _, key = head.partition(".")
@@ -261,14 +248,11 @@ class ScenarioConfig:
             key = key.strip()
             if section not in _SCHEMA or key not in _SCHEMA[section]:
                 raise ConfigError(f"--set {item!r}: unknown option {section}.{key}")
-            raw.setdefault(section, {})[key] = value.strip()
-        lines = []
-        for section in _SCHEMA:
-            if section not in raw:
-                continue
-            lines.append(f"[{section}]")
-            lines.extend(f"{k} = {v}" for k, v in raw[section].items())
-        return ScenarioConfig.from_text("\n".join(lines), "<override>")
+            value = value.strip()
+            if len(value.splitlines()) > 1:  # the echo could not hold it
+                raise ConfigError(f"--set {item!r}: the value spans several lines")
+            raw[section][key] = value
+        return self._from_sections(raw, "<override>")
 
     # ---- derived objects ----------------------------------------------------
 
@@ -302,6 +286,14 @@ class ScenarioConfig:
     # ---- validation ---------------------------------------------------------
 
     def validate(self) -> None:
+        for section, keys in _SCHEMA.items():
+            for key, (tag, _) in keys.items():
+                if tag not in ("ints", "floats"):
+                    continue
+                count = len(self._get(section, key))
+                if count not in (1, self.n):
+                    raise ConfigError(f"[{section}] {key} has {count} "
+                                      f"components; need 1 or n = {self.n}")
         try:
             grid = self.grid()        # grid invariants
             self.phys_params()        # parameter invariants
@@ -314,15 +306,10 @@ class ScenarioConfig:
                 f"[scenario] t_end must be positive and finite, got {self.t_end}"
             )
         rp = self.recipe_params
-        for key in ("x0", "k0"):
-            if len(rp[key]) not in (1, self.n):
-                raise ConfigError(f"[initial] {key} has {len(rp[key])} "
-                                  f"components; need 1 or n = {self.n}")
         dx = max(grid.dx)
-        if self.needs_ground_state() and dx >= 0.2:
-            raise ConfigError(
-                f"[grid] dx={dx:.3f} too coarse for ground-state recipes (need < 0.2)"
-            )
+        if self.needs_ground_state() and dx >= MAX_RESOLVED_DX:
+            raise ConfigError(f"[grid] dx={dx:.3f} too coarse for ground-state "
+                              f"recipes (need < {MAX_RESOLVED_DX})")
         if self.recipe == "quadratic_phase_q":
             # local wavenumber of the quadratic phase at the box edge
             k_edge = abs(rp["b"]) * max(grid.half_widths) / 2.0
@@ -389,51 +376,25 @@ class ScenarioConfig:
 
     # ---- canonical serialization ---------------------------------------------
 
+    def _get(self, section: str, key: str):
+        if _in_recipe_params(section, key):
+            return self.recipe_params[key]
+        return getattr(self, _FIELDS.get(key, key))
+
+    def _sections(self) -> dict[str, dict[str, str]]:
+        """Every key's value as text, section by section."""
+        return {
+            section: {key: _TAGS[tag][1](self._get(section, key))
+                      for key, (tag, _) in keys.items()}
+            for section, keys in _SCHEMA.items()
+        }
+
     def to_text(self) -> str:
         """Canonical echo with every effective value materialized; parsing it
         reproduces this configuration exactly."""
-
-        def fmt(tag, value):
-            if value is None:
-                return ""
-            if tag in ("floats",):
-                return ",".join(fmt_float(v) for v in value)
-            if tag in ("ints",):
-                return ",".join(str(v) for v in value)
-            if tag in ("float", "optfloat"):
-                return fmt_float(value)
-            if tag == "bool":
-                return "true" if value else "false"
-            return str(value)
-
-        current = {
-            ("scenario", "id"): self.scenario_id,
-            ("scenario", "t_end"): self.t_end,
-            ("scenario", "backend"): self.backend.value,
-            ("grid", "n"): self.n,
-            ("grid", "N"): self.N,
-            ("grid", "L"): self.L,
-            ("physics", "a"): self.a,
-            ("physics", "E"): self.E,
-            ("physics", "p"): self.p,
-            ("physics", "nl_strength"): self.nl_strength,
-            ("initial", "recipe"): self.recipe,
-            **{("initial", k): v for k, v in self.recipe_params.items()},
-            ("controller", "dt0"): self.dt0,
-            ("controller", "cfl"): self.cfl,
-            ("controller", "dt_min"): self.dt_min,
-            ("controller", "spectral_fill_max"): self.spectral_fill_max,
-            ("controller", "grad_stop"): self.grad_stop,
-            ("observers", "sample_every_steps"): self.sample_every_steps,
-            ("observers", "snapshot_every_steps"): self.snapshot_every_steps,
-            ("observers", "snapshot_grad_factor"): self.snapshot_grad_factor,
-            ("output", "dir"): self.out_dir,
-            ("output", "write_snapshots"): self.write_snapshots,
-        }
         lines = []
-        for section, keys in _SCHEMA.items():
+        for section, values in self._sections().items():
             lines.append(f"[{section}]")
-            for key, (tag, _) in keys.items():
-                lines.append(f"{key} = {fmt(tag, current[(section, key)])}")
+            lines.extend(f"{key} = {text}" for key, text in values.items())
             lines.append("")
         return "\n".join(lines)

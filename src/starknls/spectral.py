@@ -24,11 +24,12 @@ from .errors import GridMismatchError
 
 
 def _as_tuple(value, n, cast):
-    if np.isscalar(value):
-        return tuple(cast(value) for _ in range(n))
-    out = tuple(cast(v) for v in value)
+    """n per-axis values from a scalar, one value (used on every axis) or n."""
+    out = tuple(cast(v) for v in ((value,) if np.isscalar(value) else value))
+    if len(out) == 1:
+        return out * n
     if len(out) != n:
-        raise ValueError(f"expected {n} per-axis values, got {len(out)}")
+        raise ValueError(f"expected 1 or {n} per-axis values, got {len(out)}")
     return out
 
 
@@ -62,7 +63,7 @@ class GridSpec:
 
     @classmethod
     def create(cls, n: int, L, N) -> "GridSpec":
-        return cls(n=n, shape=_as_tuple(N, n, int), half_widths=_as_tuple(L, n, float))
+        return cls(n=n, shape=N, half_widths=L)
 
     @property
     def dx(self) -> tuple[float, ...]:
@@ -208,7 +209,8 @@ class PhysParams:
     Attributes:
         n: spatial dimension.
         a: damping coefficient, >= 0.
-        E: uniform-field vector in R^n (may be zero).
+        E: uniform-field vector in R^n (may be zero); one component is used
+            on every axis.
         p: nonlinearity exponent; defaults to the mass-critical 1 + 4/n.
         nl_strength: multiplier on the focusing term (0 disables it, used by
             linear-flow diagnostics; 1 is the physical equation).
@@ -216,7 +218,7 @@ class PhysParams:
 
     n: int
     a: float = 0.0
-    E: tuple[float, ...] = ()
+    E: tuple[float, ...] = (0.0,)
     p: float | None = None
     nl_strength: float = 1.0
 
@@ -225,8 +227,7 @@ class PhysParams:
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
         if not (self.a >= 0.0 and np.isfinite(self.a)):
             raise ValueError(f"damping coefficient must be >= 0, got {self.a}")
-        E = self.E if len(self.E) else (0.0,) * self.n
-        object.__setattr__(self, "E", _as_tuple(E, self.n, float))
+        object.__setattr__(self, "E", _as_tuple(self.E, self.n, float))
         if not all(np.isfinite(e) for e in self.E):
             raise ValueError(f"field vector E must be finite, got {self.E}")
         p = self.p if self.p is not None else 1.0 + 4.0 / self.n

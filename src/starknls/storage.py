@@ -21,6 +21,7 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import csv
 import struct
 from pathlib import Path
 
@@ -139,19 +140,18 @@ def read_trajectory_csv(path):
 
 
 def write_report_csv(path, rows: list[dict]) -> None:
-    """Write a list of uniform dict rows as CSV (insertion key order)."""
+    """Write a list of uniform dict rows as CSV (insertion key order); a cell
+    holding a comma, a quote or a line break is quoted."""
     if not rows:
         Path(path).write_text("")
         return
     keys = list(rows[0].keys())
-    lines = [",".join(keys)]
-    for row in rows:
-        cells = []
-        for key in keys:
-            v = row[key]
-            cells.append(fmt_float(v) if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(keys)
+        for row in rows:
+            out.writerow([fmt_float(v) if isinstance(v, float) else str(v)
+                          for v in (row[key] for key in keys)])
 
 
 def write_plot_data(path, t: np.ndarray, values: np.ndarray, name: str) -> None:

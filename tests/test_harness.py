@@ -1,6 +1,7 @@
 """Configuration grammar, scenario runner, sweeps, scans, and CLI tests."""
 
 import concurrent.futures.process
+import csv
 import dataclasses
 import math
 import os
@@ -23,6 +24,7 @@ from starknls import (
     threshold_scan,
 )
 from starknls.cli import load_bundle_record, main as cli_main
+from starknls.config import RECIPES
 from starknls.diagnostics import detect_blowup_and_fit
 from starknls.errors import BracketError, ConfigError
 from starknls.storage import read_trajectory_csv, trajectory_header
@@ -55,6 +57,20 @@ dt0 = 1e-3
 sample_every_steps = 5
 """
 
+# BASE on a 64 x 64 grid, with N and L written once for both axes
+BASE_2D = BASE.replace("n = 1", "n = 2").replace("N = 512", "N = 64").replace(
+    "L = 20", "L = 8"
+)
+
+BAD_CHOICES = [
+    ("scenario", "backend", "gauge, direct"),
+    ("initial", "recipe", ", ".join(RECIPES)),
+]
+
+
+def read_csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 _TEST_PID = os.getpid()
@@ -202,6 +218,35 @@ class TestConfigGrammar:
         cfg = ScenarioConfig.from_text(with_initial(BASE, **{key: "1"}))
         assert cfg.recipe_params[key] == (1.0,)
 
+    def test_one_component_per_axis_vectors_broadcast(self):
+        cfg = ScenarioConfig.from_text(BASE_2D.replace("E = 0\n", ""))
+        assert cfg.phys_params().E == (0.0, 0.0)
+        assert cfg.grid().shape == (64, 64)
+        assert cfg.grid().half_widths == (8.0, 8.0)
+        # kept as written, so the echo repeats the one component
+        assert (cfg.N, cfg.L, cfg.E) == ((64,), (8.0,), (0.0,))
+        assert "\nN = 64\nL = 8\n" in cfg.to_text()
+
+    @pytest.mark.parametrize("section, line, bad", [
+        ("grid", "N = 64", "N = 64,64,64"),
+        ("grid", "L = 8", "L = 8,8,8"),
+        ("physics", "E = 0", "E = 1,2,3"),
+    ])
+    def test_per_axis_vector_of_wrong_length_names_key(self, section, line, bad):
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} has 3 comp"):
+            ScenarioConfig.from_text(BASE_2D.replace(line, bad))
+
+    @pytest.mark.parametrize("section, key, allowed", BAD_CHOICES)
+    def test_bad_choice_names_key_and_allowed_values(self, section, key, allowed):
+        kept = "\n".join(line for line in BASE.splitlines()
+                         if not line.startswith(f"{key} ="))
+        text = kept.replace(f"[{section}]", f"[{section}]\n{key} = bogus")
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig.from_text(text)
+        assert f"[{section}] {key}" in str(info.value)
+        assert allowed in str(info.value)
+
     def test_echo_round_trip(self):
         cfg = ScenarioConfig.from_text(BASE)
         again = ScenarioConfig.from_text(cfg.to_text())
@@ -213,6 +258,9 @@ class TestConfigGrammar:
         assert new.a == 0.5 and new.N == (256,)
         with pytest.raises(ConfigError):
             cfg.apply_overrides(["physics.bogus=1"])
+        # the echo holds one line per key
+        with pytest.raises(ConfigError, match="several lines"):
+            cfg.apply_overrides(["scenario.id=a\n[output]"])
 
 
 class TestRunScenario:
@@ -242,6 +290,15 @@ class TestRunScenario:
         assert len(cols["t"]) > 2
         for name, values in cols.items():
             assert values.tobytes() == result.traj.columns[name].tobytes(), name
+
+    def test_law_checks_csv_quotes_cells_with_commas(self, tmp_path):
+        cfg = ScenarioConfig.from_text(BASE.replace("E = 0", "E = 0.3"))
+        result = run_scenario(cfg, out_dir=tmp_path / "run")
+        table = read_csv_rows(result.out_dir / "law_checks.csv")
+        assert table[0] == ["law", "max_rel_dev", "notes"]
+        assert all(len(row) == 3 for row in table)
+        notes = {row[0]: row[2] for row in table[1:]}
+        assert notes["momentum_decay"].count(",") == 1  # residual q=1: ..., q=2: ...
 
     def test_zero_momentum_obeys_momentum_law(self):
         # a real Gaussian keeps P = 0 to round-off; the law check must not
@@ -480,6 +537,15 @@ class TestSweep:
         assert [r["outcome"] for r in rows] == ["global", "error"]
         assert rows[1]["stop_reason"] == "exception: a worker died during submission"
 
+    def test_summary_cells_with_commas_are_quoted(self, tmp_path):
+        rows = sweep(SweepSpec(parameter="N", values=("512", "64,64")),
+                     ScenarioConfig.from_text(BASE), tmp_path / "sw")
+        assert [r["outcome"] for r in rows] == ["global", "error"]
+        table = read_csv_rows(tmp_path / "sw" / "sweep_summary.csv")
+        assert [len(row) for row in table] == [6, 6, 6]
+        assert table[2][1] == "64,64"
+        assert "[grid] N has 2 components" in table[2][3]
+
     def test_partial_failure_recorded(self, tmp_path):
         cfg = ScenarioConfig.from_text(BASE)
         rows = sweep(
@@ -563,6 +629,15 @@ class TestCLI:
         cfg_path = tmp_path / "vector.cfg"
         cfg_path.write_text(with_initial(BASE, **{key: "1,2"}))
         self.assert_clean_error(["run", str(cfg_path)], key, capsys)
+
+    @pytest.mark.parametrize("section, key, allowed", BAD_CHOICES)
+    def test_run_verb_bad_choice_override(self, tmp_path, capsys, section, key,
+                                          allowed):
+        cfg_path = tmp_path / "cfg.cfg"
+        cfg_path.write_text(BASE)
+        argv = ["run", str(cfg_path), "--set", f"{section}.{key}=bogus"]
+        err = self.assert_clean_error(argv, f"[{section}] {key}", capsys)
+        assert allowed in err
 
     def test_run_verb_missing_config(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.cfg")

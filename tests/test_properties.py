@@ -31,6 +31,7 @@ from starknls import (
 )
 from starknls.config import RECIPES
 from starknls.errors import ConfigError, StarkNLSError
+from starknls.ground_state import MAX_RESOLVED_DX
 from starknls.propagator import _Stepper
 from starknls.spectral import _cis
 from starknls.storage import read_snapshot, write_snapshot
@@ -141,15 +142,23 @@ def config_texts(draw):
     parser accepts for it; values that couple keys (the grid spacing, a
     Gaussian's width) are drawn to pass validation."""
     n = draw(st.integers(1, 3))
-    N = draw(st.lists(st.integers(1, 12).map(lambda k: 2**k), min_size=n, max_size=n))
+    # a per-axis vector has one component (used on every axis) or n
+    counts = st.sampled_from(sorted({1, n}))
+    count = draw(counts)
+    N = draw(st.lists(st.integers(1, 12).map(lambda k: 2**k),
+                      min_size=count, max_size=count))
     recipe = draw(st.sampled_from(RECIPES))
-    # the spacing 2 L / N must be positive and finite, and below 0.2 for
-    # the ground-state recipes
+    # the spacing 2 L / N must be positive and finite, and below
+    # MAX_RESOLVED_DX for the ground-state recipes; a one-component L
+    # spans every axis's N
     needs_q = recipe in ("scaled_q", "quadratic_phase_q", "pseudo_conformal")
-    dx_max = 0.2 if needs_q else np.inf
-    L = [draw(positive_finite.filter(lambda h, k=k: 0 < 2.0 * h / k < dx_max))
-         for k in N]
-    dx = max(2.0 * h / k for h, k in zip(L, N))
+    dx_max = MAX_RESOLVED_DX if needs_q else np.inf
+    axes = N * n if count == 1 else N
+    spans = [axes] if draw(counts) == 1 else [[k] for k in axes]
+    L = [draw(positive_finite.filter(
+            lambda h, ks=ks: all(0 < 2.0 * h / k < dx_max for k in ks)))
+         for ks in spans]
+    dx = max(2.0 * h / k for h, ks in zip(L, spans) for k in ks)
     values = {
         "scenario": {
             "id": line_text,
@@ -163,7 +172,7 @@ def config_texts(draw):
         },
         "physics": {
             "a": float_text(st.floats(min_value=0.0, allow_infinity=False)),
-            "E": vector_text(finite, n),
+            "E": vector_text(finite, 1, n),
             "p": st.just("") | float_text(st.floats(min_value=1.0, exclude_min=True)),
             "nl_strength": float_text(finite),
         },
