@@ -38,7 +38,7 @@ from .errors import ConfigError, ResolutionError, StarkNLSError
 from .ground_state import MAX_RESOLVED_DX, GroundState, cached_ground_state
 from .gauge import PseudoConformalParams, pseudo_conformal_profile
 from .propagator import Backend, DiagnosticHooks, StepController
-from .spectral import Field, GridSpec, PhysParams
+from .spectral import Field, GridSpec, PhysParams, _as_tuple
 from .storage import fmt_float, read_snapshot
 
 RECIPES = ("scaled_q", "quadratic_phase_q", "pseudo_conformal", "gaussian", "snapshot")
@@ -342,7 +342,7 @@ class ScenarioConfig:
     def build_initial_field(self) -> Field:
         grid = self.grid()
         rp = self.recipe_params
-        x0 = np.broadcast_to(np.asarray(rp["x0"], dtype=float), (self.n,))
+        x0 = _as_tuple(rp["x0"], self.n, float)
         if self.recipe == "snapshot":
             try:
                 u0 = read_snapshot(rp["path"])
@@ -356,7 +356,7 @@ class ScenarioConfig:
         if self.recipe == "pseudo_conformal":
             gs = self.ground_state()
             pc = PseudoConformalParams(
-                theta=rp["theta"], T=rp["T"], x0=tuple(x0), t=0.0
+                theta=rp["theta"], T=rp["T"], x0=x0, t=0.0
             )
             try:
                 return pseudo_conformal_profile(grid, pc, gs)

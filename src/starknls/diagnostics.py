@@ -29,7 +29,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import InsufficientDataError, NoBoundError, ResolutionError
-from .spectral import Field, PhysParams, _weighted_sum, power_momentum
+from .spectral import Field, PhysParams, _as_tuple, _weighted_sum, power_momentum
 from .storage import MOMENTUM_COLUMNS
 
 # fit-window policy: samples with grad_norm at least this factor above the
@@ -538,7 +538,7 @@ def _window_mask(grid, offsets, w: float) -> np.ndarray:
 def mass_in_window(u: Field, center, w: float) -> float:
     """L2 mass inside the periodic ball of radius w about a center."""
     grid = u.grid
-    center = np.broadcast_to(np.asarray(center, dtype=float), (grid.n,))
+    center = _as_tuple(center, grid.n, float)
     offsets = [grid.axis_coordinates(axis) - c for axis, c in enumerate(center)]
     mask = _window_mask(grid, offsets, w)
     return float(np.sum(np.abs(u.data[mask]) ** 2) * grid.cell_volume)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ResolutionError
 from .ground_state import GroundState, radial_interpolant
-from .spectral import Field, GridSpec, _cis
+from .spectral import Field, GridSpec, _as_tuple, _cis
 
 
 def _shift_spectrum(spec: np.ndarray, grid: GridSpec, offsets) -> np.ndarray:
@@ -46,8 +46,9 @@ def ah_forward_spectrum(
     The t^2 E shift is folded into the spectrum before the one inverse
     transform. e_dot_x is E.x on the grid, for callers that map many times.
     """
-    E = np.broadcast_to(np.asarray(E, dtype=float), (grid.n,))
-    u = np.fft.ifftn(_shift_spectrum(spec, grid, t * t * E), norm="ortho")
+    E = _as_tuple(E, grid.n, float)
+    u = np.fft.ifftn(_shift_spectrum(spec, grid, [t * t * e for e in E]),
+                     norm="ortho")
     if e_dot_x is None:
         e_dot_x = grid.linear_phase(E)
     # -(t E.x + |E|^2 t^3 / 3), bit for bit, in one array
@@ -70,8 +71,9 @@ def ah_inverse(u: Field, t: float, E) -> Field:
     if t == 0.0 or not np.any(E):
         return u
     grid = u.grid
-    E = np.broadcast_to(np.asarray(E, dtype=float), (grid.n,))
-    spec = _shift_spectrum(np.fft.fftn(u.data, norm="ortho"), grid, -t * t * E)
+    E = _as_tuple(E, grid.n, float)
+    spec = _shift_spectrum(np.fft.fftn(u.data, norm="ortho"), grid,
+                           [-t * t * e for e in E])
     phase = t * grid.linear_phase(E) - 2.0 * sum(e * e for e in E) * t**3 / 3.0
     return Field(grid, np.fft.ifftn(spec, norm="ortho") * _cis(phase))
 

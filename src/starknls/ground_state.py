@@ -11,21 +11,24 @@ The solver is a Petviashvili (spectral renormalization) fixed point
     gamma   = p / (p - 1),
 
 which has S_m -> 1 at the solution; the stabilizing power gamma removes the
-scaling degeneracy of the bare map. The iterate is real, so each iteration
-costs two real transforms on the half spectrum: Q_m^p forward and Q_{m+1}
-back. The equation residual needs a third, the spectral Laplacian of the
-iterate; it is evaluated only once the iterates have settled below tol, and
-for the last iterate of a spent budget.
+scaling degeneracy of the bare map. The Gaussian seed is even in every axis
+and the map keeps it so, so the iterate is stored on its octant x >= 0 only,
+N/2 + 1 points per axis, where its transform is a DCT-I along each axis. Each
+iteration costs two such transforms: Q_m^p forward and Q_{m+1} back. The
+equation residual needs a third, the spectral Laplacian of the iterate; it is
+evaluated only once the iterates have settled below tol, and for the last
+iterate of a spent budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import DegenerateSeedError, IterationError, ResolutionError
-from .spectral import Field, GridSpec, _keep_transform_scratch, l2_norm_sq
+from .spectral import Field, GridSpec, _keep_transform_scratch
 
 DEFAULT_TOL = {1: 1e-10, 2: 1e-8, 3: 1e-8}
 
@@ -74,15 +77,34 @@ class GroundState:
         return float(np.sqrt(self.mass_sq))
 
 
-def _recenter_peak(q: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Roll the array so the maximum sits at index N/2 per axis; also report
-    whether it moved."""
-    peak = np.unravel_index(np.argmax(q), q.shape)
-    shifts = [s // 2 - p for s, p in zip(q.shape, peak)]
-    rolled = any(shifts)
-    if rolled:
-        q = np.roll(q, shifts, axis=tuple(range(q.ndim)))
-    return q, rolled
+def _octant_weights(shape) -> np.ndarray:
+    """Weights that turn a sum over the octant points (or modes) of an even
+    field into the sum over the full grid (or spectrum): per axis 1 on the
+    planes m = 0 and m = N/2, which have no mirror image, and 2 elsewhere."""
+    return reduce(np.multiply.outer,
+                  [np.r_[1.0, np.full(N // 2 - 1, 2.0), 1.0] for N in shape])
+
+
+def _octant_transform(q: np.ndarray) -> np.ndarray:
+    """Unnormalised DFT of an even field from its octant samples.
+
+    Along each axis in turn, the octant's even periodic extension
+    q_0, ..., q_{N/2}, q_{N/2-1}, ..., q_1 has a real DFT: a DCT-I, taken
+    here as the real part of one rfft, modes 0 to N/2. The box center's
+    sign (-1)^k is left out; it cancels between the forward and the inverse
+    transform and in |q^|^2. Applied twice it returns q times the number of
+    grid points.
+    """
+    for axis, m in enumerate(q.shape):
+        mirror = np.r_[0:m, m - 2 : 0 : -1]
+        q = np.fft.rfft(q.take(mirror, axis=axis), axis=axis).real
+    return q
+
+
+def _unfold(q: np.ndarray) -> np.ndarray:
+    """The full-grid field of an even field's octant samples, by reflection
+    about the center index N/2 of each axis."""
+    return q[np.ix_(*(np.abs(np.arange(2 * m - 2) - (m - 1)) for m in q.shape))]
 
 
 def petviashvili(
@@ -122,44 +144,45 @@ def petviashvili(
     _keep_transform_scratch()
     p = 1.0 + 4.0 / n
     gamma = p / (p - 1.0)
-    # the iterate is real: work on the rfftn half spectrum (last axis N//2+1)
-    shape = grid.shape
-    axes = tuple(range(n))
-    ksq = np.ascontiguousarray(grid.k_sq[..., : shape[-1] // 2 + 1])
-    inv_helmholtz = 1.0 / (1.0 + ksq)
-    num_weight = grid.rfft_weights * (1.0 + ksq)
+    # octant samples and modes, per axis 0 to N/2: the points are the center
+    # N/2 up to N - 1, then x = -L (the image of +L)
+    weight = _octant_weights(grid.shape)
+    r_sq = reduce(np.add.outer, [grid.axis_coordinates(a)[np.r_[N // 2 : N, 0]] ** 2
+                                 for a, N in enumerate(grid.shape)])
+    ksq = reduce(np.add.outer, [grid.axis_wavenumbers(a)[: N // 2 + 1] ** 2
+                                for a, N in enumerate(grid.shape)])
+    # qh is the octant spectrum over the number of points, so that the
+    # forward transform of qh is q
+    points = grid.num_points
+    inv_helmholtz = 1.0 / ((1.0 + ksq) * points)
+    num_weight = weight * (1.0 + ksq) * points
 
     # the spectral residual cannot fall below the round-off floor of the
     # Laplacian evaluation, eps * k_max^2; accept the larger target
     resid_target = max(10.0 * tol, 4.0 * np.finfo(float).eps * (1.0 + ksq.max()))
 
-    def inverse(qh):
-        return np.fft.irfftn(qh, s=shape, axes=axes, norm="ortho")
-
     # qh and qp always belong to the current iterate q: the spectrum of
     # q_new is in hand before its inverse transform, and the residual's q^p
     # is the next iteration's
-    q = np.exp(-grid.radius_sq / (2.0 * seed_width**2))
-    qh = np.fft.rfftn(q, norm="ortho")
+    q = np.exp(-r_sq / (2.0 * seed_width**2))
+    qh = _octant_transform(q) / points
     qp = q**p
     residual = np.inf
     for m in range(1, max_iter + 1):
-        num = np.sum(num_weight * (qh.real**2 + qh.imag**2))
-        den = np.sum(q * qp)
+        num = np.sum(num_weight * qh**2)
+        den = np.sum(weight * q * qp)
         if not den > 0:
             raise DegenerateSeedError("iteration collapsed to the zero field")
         stab = num / den
-        qh_new = stab**gamma * np.fft.rfftn(qp, norm="ortho") * inv_helmholtz
-        q_new, rolled = _recenter_peak(inverse(qh_new))
-        if rolled:
-            qh_new = np.fft.rfftn(q_new, norm="ortho")
+        qh_new = stab**gamma * _octant_transform(qp) * inv_helmholtz
+        q_new = _octant_transform(qh_new)
         change = float(np.max(np.abs(q_new - q)))
         q, qh = q_new, qh_new
         qp = q**p
         # the residual costs a third transform: evaluate it only where the
         # stopping test reads it, and for the last iterate of a spent budget
         if change < tol or m == max_iter:
-            residual = float(np.max(np.abs(inverse(-ksq * qh) - q + qp)))
+            residual = float(np.max(np.abs(_octant_transform(-ksq * qh) - q + qp)))
             if change < tol and residual < resid_target:
                 break
     else:
@@ -175,12 +198,10 @@ def petviashvili(
             "converged profile is not strictly positive", last_residual=residual
         )
     q = np.maximum(q, np.finfo(float).tiny)
-    field = Field(grid, q.astype(np.complex128))
-    mass_sq = l2_norm_sq(field)
-    power = qh.real**2 + qh.imag**2
-    grad_sq = float(np.sum(grid.rfft_weights * ksq * power) * grid.cell_volume)
+    mass_sq = float(np.sum(weight * q**2) * grid.cell_volume)
+    grad_sq = float(np.sum(weight * ksq * qh**2) * points * grid.cell_volume)
     return GroundState(
-        profile=field,
+        profile=Field(grid, _unfold(q).astype(np.complex128)),
         mass_sq=mass_sq,
         grad_sq=grad_sq,
         residual=residual,

@@ -25,7 +25,7 @@ from .errors import GridMismatchError
 
 def _as_tuple(value, n, cast):
     """n per-axis values from a scalar, one value (used on every axis) or n."""
-    out = tuple(cast(v) for v in ((value,) if np.isscalar(value) else value))
+    out = tuple(cast(v) for v in ((value,) if np.ndim(value) == 0 else value))
     if len(out) == 1:
         return out * n
     if len(out) != n:
@@ -121,20 +121,10 @@ class GridSpec:
             ksq = ksq + kg**2
         return ksq
 
-    @cached_property
-    def rfft_weights(self) -> np.ndarray:
-        """Weights along the last axis of the rfftn half spectrum (N//2 + 1
-        modes) that turn a sum over it into the full-spectrum sum for a real
-        field: 2 where a mode stands for itself and its conjugate partner,
-        1 on the k = 0 and Nyquist planes, which have no partner."""
-        weights = np.full(self.shape[-1] // 2 + 1, 2.0)
-        weights[0] = weights[-1] = 1.0
-        return weights
-
     def linear_phase(self, coeffs) -> np.ndarray:
         """The pointwise field  sum_axis coeffs[axis] * x_axis  on the grid:
         the Stark potential E.x, or the phase k0.x of a plane wave."""
-        coeffs = np.broadcast_to(np.asarray(coeffs, dtype=float), (self.n,))
+        coeffs = _as_tuple(coeffs, self.n, float)
         out = np.zeros(self.shape)
         for xg, c in zip(self.coordinate_grids, coeffs):
             if c != 0.0:
@@ -143,7 +133,7 @@ class GridSpec:
 
     def distance_sq(self, x0) -> np.ndarray:
         """|x - x0|^2 on the full coordinate grid (a new array)."""
-        x0 = np.broadcast_to(np.asarray(x0, dtype=float), (self.n,))
+        x0 = _as_tuple(x0, self.n, float)
         out = np.zeros(self.shape)
         for xg, c in zip(self.coordinate_grids, x0):
             out += (xg - c) ** 2

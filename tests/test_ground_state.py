@@ -32,7 +32,12 @@ from starknls import (
     threshold_mass,
 )
 from starknls.errors import IterationError, ResolutionError
-from starknls.ground_state import radial_interpolant
+from starknls.ground_state import (
+    _octant_transform,
+    _octant_weights,
+    _unfold,
+    radial_interpolant,
+)
 
 from conftest import COMPLEX_FFTS, REAL_FFTS, child_env
 
@@ -91,8 +96,20 @@ class TestPetviashvili1D:
     def test_strictly_positive_and_symmetric(self, gs_1d):
         q = gs_1d.profile.data.real
         assert q.min() > 0
-        mirrored = np.roll(q[::-1], 1)
-        assert np.max(np.abs(q - mirrored)) <= 1e-8 * q.max()
+        assert np.array_equal(q, np.roll(q[::-1], 1))
+        assert np.argmax(q) == q.size // 2
+
+    @pytest.mark.parametrize("N, L", [(4096, 40.0), (8192, 13.0), (65536, 13.0)])
+    def test_positive_on_benchmark_grids(self, N, L):
+        # the tails reach eps * max Q on [-40, 40), where a less accurate
+        # transform (the half-length DCT-I recurrence) leaves negative samples
+        # and the positivity check raises. The periodic box adds the images'
+        # tails, about Q(L) at x = -L
+        grid = GridSpec.create(1, L, N)
+        q = petviashvili(grid).profile.data.real
+        assert q.min() > 0
+        err = np.max(np.abs(q - ground_state_1d_exact(grid.axis_coordinates(0))))
+        assert err < 1e-8 + 2.0 * ground_state_1d_exact(L)
 
     def test_residual_below_tolerance(self, gs_1d):
         assert gs_1d.residual < 1e-9
@@ -271,8 +288,8 @@ HALF_SPECTRUM_GRIDS = pytest.mark.parametrize(
 class TestHalfSpectrumSolver:
     @HALF_SPECTRUM_GRIDS
     def test_grad_sq_matches_full_spectrum(self, grid):
-        # the solver's grad_sq is a weighted half-spectrum sum; the full
-        # complex-spectrum Parseval sum is the reference
+        # the solver's grad_sq is a weighted sum over the octant spectrum;
+        # the full complex-spectrum Parseval sum is the reference
         gs = petviashvili(grid)
         ref = grad_norm_sq(gs.profile)
         assert gs.grad_sq == pytest.approx(ref, rel=1e-12)
@@ -290,17 +307,29 @@ class TestHalfSpectrumSolver:
         assert abs(gs.residual - ref) <= floor
         assert floor < 1e-3 * ref
 
+    @HALF_SPECTRUM_GRIDS
+    def test_profile_is_mirror_symmetric_with_peak_at_center(self, grid):
+        q = petviashvili(grid).profile.data.real
+        for axis in range(grid.n):
+            assert np.array_equal(q, np.roll(np.flip(q, axis), 1, axis=axis))
+        assert np.unravel_index(np.argmax(q), q.shape) == tuple(N // 2 for N in grid.shape)
+
     def test_two_real_transforms_per_iteration(self, fft_calls):
         # the seed's transform, two per iteration, and the residual's only on
-        # the last iterations, once the iterates have settled
-        gs = petviashvili(GridSpec.create(2, 6.0, 64))
+        # the last iterations, once the iterates have settled. One n-D octant
+        # transform is one rfft per axis
+        grid = GridSpec.create(2, 6.0, 64)
+        gs = petviashvili(grid)
         assert sum(fft_calls[k] for k in COMPLEX_FFTS) == 0
-        assert 0 < sum(fft_calls[k] for k in REAL_FFTS) <= 2 * gs.iterations + 3
+        real = sum(fft_calls[k] for k in REAL_FFTS)
+        assert real == fft_calls["rfft"] and real % grid.n == 0
+        assert 0 < real // grid.n <= 2 * gs.iterations + 3
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
     def test_iterations_take_no_page_faults(self):
-        # at 64^3 every transform and temporary is a fresh ~2 MB block; under
-        # glibc's default policy a warm solve faults ~490 pages per iteration.
+        # at 64^3 every transform and temporary is a fresh 0.3-0.6 MB block;
+        # under glibc's default policy a warm solve faults ~380 pages per
+        # iteration.
         # A fresh interpreter, because large frees earlier in this process
         # move glibc's dynamic thresholds.
         script = textwrap.dedent(
@@ -323,3 +352,55 @@ class TestHalfSpectrumSolver:
         out = subprocess.run([sys.executable, "-c", script], env=child_env(),
                              check=True, capture_output=True, text=True, timeout=120)
         assert int(out.stdout) / 25 <= 10
+
+
+OCTANT_SHAPES = pytest.mark.parametrize(
+    "shape", [(2,), (16,), (64, 32), (8, 2), (2, 4, 8), (16, 8, 4)]
+)
+
+
+def random_octant(shape, seed=5):
+    """Random samples on the octant of an even field on a grid of shape."""
+    return np.random.default_rng(seed).normal(size=[N // 2 + 1 for N in shape])
+
+
+class TestOctantTransform:
+    @OCTANT_SHAPES
+    def test_unfold_is_even_and_keeps_the_octant(self, shape):
+        q = random_octant(shape)
+        full = _unfold(q)
+        assert full.shape == shape
+        for axis in range(len(shape)):
+            assert np.array_equal(full, np.roll(np.flip(full, axis), 1, axis=axis))
+        octant = np.ix_(*(np.r_[N // 2 : N, 0] for N in shape))
+        assert np.array_equal(full[octant], q)
+
+    @OCTANT_SHAPES
+    def test_matches_full_real_transform(self, shape):
+        # with the box center moved to index 0 the full field's DFT is real;
+        # its modes 0 to N/2 per axis are the octant transform
+        q = random_octant(shape)
+        spec = np.fft.rfftn(np.fft.ifftshift(_unfold(q)))
+        modes = spec[tuple(slice(N // 2 + 1) for N in shape)]
+        scale = np.max(np.abs(modes))
+        assert np.max(np.abs(modes.imag)) <= 1e-13 * scale
+        assert np.max(np.abs(_octant_transform(q) - modes.real)) <= 1e-13 * scale
+
+    @OCTANT_SHAPES
+    def test_is_its_own_inverse_up_to_the_point_count(self, shape):
+        q = random_octant(shape)
+        back = _octant_transform(_octant_transform(q)) / np.prod(shape)
+        assert np.max(np.abs(back - q)) <= 1e-13 * np.max(np.abs(q))
+
+    @OCTANT_SHAPES
+    def test_weights_turn_octant_sums_into_full_sums(self, shape):
+        # random data fills every plane, m = 0 and m = N/2 included
+        q = random_octant(shape)
+        assert np.sum(_octant_weights(shape) * q) == pytest.approx(
+            np.sum(_unfold(q)), rel=1e-13
+        )
+        spec = _octant_transform(q)
+        full = np.abs(np.fft.fftn(_unfold(q))) ** 2
+        assert np.sum(_octant_weights(shape) * spec**2) == pytest.approx(
+            np.sum(full), rel=1e-13
+        )

@@ -23,11 +23,13 @@ from starknls import (
     kinetic_substep,
     l2_norm,
     l2_norm_sq,
+    mass_in_window,
     read_snapshot,
     sample,
     write_snapshot,
 )
 from starknls.errors import DivergedFieldError, GridMismatchError, StarkNLSError
+from starknls.gauge import ah_forward_spectrum, ah_inverse
 from starknls.spectral import power_fill_fraction, power_momentum
 
 from conftest import random_band_limited_field
@@ -91,6 +93,25 @@ class TestGridSpec:
             ref = ref + (xg - c) ** 2
         assert np.array_equal(grid.distance_sq(x0), ref)
         assert np.array_equal(grid.radius_sq, grid.distance_sq(0.0))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, v: g.linear_phase(v),
+            lambda g, v: g.distance_sq(v),
+            lambda g, v: mass_in_window(Field(g, np.ones(g.shape)), v, 1.0),
+            lambda g, v: ah_inverse(Field(g, np.ones(g.shape)), 0.5, v),
+            lambda g, v: ah_forward_spectrum(np.ones(g.shape, complex), g, 0.5, v),
+        ],
+        ids=["linear_phase", "distance_sq", "mass_in_window", "ah_inverse",
+             "ah_forward_spectrum"],
+    )
+    def test_per_axis_vectors_follow_one_rule(self, call):
+        # one component serves every axis; any other length but n fails alike
+        grid = GridSpec.create(2, 4.0, 16)
+        call(grid, (0.5,))
+        with pytest.raises(ValueError, match="expected 1 or 2 per-axis values, got 3"):
+            call(grid, (0.1, 0.2, 0.3))
 
     def test_cached_wavenumbers_are_read_only(self, grid_1d):
         k = grid_1d.axis_wavenumbers(0)
@@ -206,19 +227,6 @@ class TestGradNormSq:
         f = random_band_limited_field(grid_1d, seed=9)
         quad = -inner(laplacian(f), f).real
         assert abs(grad_norm_sq(f) - quad) <= 1e-10 * max(1.0, grad_norm_sq(f))
-
-    @pytest.mark.parametrize("shape", [(16,), (8, 4), (4, 8, 2)])
-    def test_half_spectrum_weights(self, shape):
-        # white noise fills every mode, the Nyquist planes included
-        grid = GridSpec(n=len(shape), shape=shape, half_widths=(1.0,) * len(shape))
-        q = np.random.default_rng(3).normal(size=shape)
-        full = np.abs(np.fft.fftn(q, norm="ortho")) ** 2
-        half = np.abs(np.fft.rfftn(q, norm="ortho")) ** 2
-        ksq_half = grid.k_sq[..., : shape[-1] // 2 + 1]
-        for weight, full_weight in ((1.0, 1.0), (ksq_half, grid.k_sq)):
-            assert np.sum(grid.rfft_weights * weight * half) == pytest.approx(
-                np.sum(full_weight * full), rel=1e-13
-            )
 
 
 class TestDiagnosticsMasks:

@@ -25,7 +25,11 @@ that side's ``.bench_out/WORKLOAD``; ``run.py`` removes its own bundles when
 it is done. The entry lists under ``bundle_bytes`` every file whose bytes
 differ between the two sides or that only one side wrote. A bundle whose
 config echoes an input path (the perturbed initial field) differs in
-``config_echo.cfg`` by that path alone.
+``config_echo.cfg`` by that path alone. For each differing field snapshot
+(``.dnls``) that both sides wrote, ``dnls_rel_diff`` gives max |change -
+parent| / max |parent| over its samples (read with ``benchmark/bundle.py``;
+null when the shapes differ), so a change that moves only round-off reads as
+one.
 
 One ``--trace 1`` run per side follows (parent first), so the entry also
 holds each side's per-layer metrics, which the benchmark reports as medians
@@ -35,6 +39,8 @@ over the traced passes of that run: the layer that moved.
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib.util
 import io
 import json
 import os
@@ -48,6 +54,8 @@ import tempfile
 import time
 from importlib import metadata
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path.cwd()
 METRICS = ("run_s", "step_us", "peak_rss_mb", "setup_s")
@@ -105,7 +113,23 @@ def bundle_bytes(parent: Path, change: Path) -> dict:
         if not ((parent / name).is_file() and (change / name).is_file()
                 and (parent / name).read_bytes() == (change / name).read_bytes())
     )
-    return {"files": len(names), "differ": differ}
+    deviation = {}
+    for name in differ:
+        if name.endswith(".dnls") and (parent / name).is_file() and (change / name).is_file():
+            a, _ = benchmark_bundle().read_dnls(parent / name)
+            b, _ = benchmark_bundle().read_dnls(change / name)
+            deviation[name] = (float(np.max(np.abs(b - a)) / np.max(np.abs(a)))
+                               if a.shape == b.shape else None)
+    return {"files": len(names), "differ": differ, "dnls_rel_diff": deviation}
+
+
+@functools.cache
+def benchmark_bundle():
+    """benchmark/bundle.py of this checkout, loaded by path."""
+    spec = importlib.util.spec_from_file_location("bundle", ROOT / "benchmark" / "bundle.py")
+    bundle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bundle)
+    return bundle
 
 
 def side_stats(values: list[float]) -> dict:
