@@ -121,9 +121,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, write=True) -> RunResult:
             )
 
     if cfg.scenario_id == "ah_equivalence":
-        summary["backend_l2_difference"] = backend_difference(
-            cfg, final.observed_field()
-        )
+        summary["backend_l2_difference"] = backend_difference(cfg, final.field)
 
     out = law_checks = None
     if write:
@@ -154,10 +152,10 @@ def backend_difference(cfg: ScenarioConfig, reference: Field | None = None) -> f
     )
     if reference is None:
         final, _ = _execute(cfg)
-        reference = final.observed_field()
+        reference = final.field
     alt = cfg.apply_overrides([f"scenario.backend={other.value}"])
     final_other, _ = _execute(alt)
-    diff = reference.data - final_other.observed_field().data
+    diff = reference.data - final_other.field.data
     return float(np.sqrt(np.sum(np.abs(diff) ** 2) * reference.grid.cell_volume))
 
 
@@ -352,7 +350,7 @@ def _terminal_field(cfg: ScenarioConfig) -> Field:
         raise StarkNLSError(
             f"convergence study aborted: run stopped early ({traj.stop_reason.value})"
         )
-    return final.observed_field()
+    return final.field
 
 
 def _fixed_dt_overrides(dt: float) -> list[str]:

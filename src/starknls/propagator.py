@@ -12,9 +12,10 @@ potential substep multiplies by exp(-i (E.x) tau).
 
 Two backends handle the uniform-field term:
 
-* GAUGE_FRAME (reference): the stored field is the E = 0 frame function; the
-  potential substep is skipped and observers map through the accelerated-frame
-  transform before reporting. Exact in E and periodic-friendly.
+* GAUGE_FRAME (reference): the kernel propagates the E = 0 frame function,
+  with no potential substep, and maps states into and out of that frame
+  itself, so every state, sample and snapshot holds the physical field.
+  Exact in E and periodic-friendly.
 * DIRECT_POTENTIAL: applies the pointwise potential phase; valid only while
   the field stays away from the periodic seam (the linear potential is
   discontinuous there), which is monitored and reported as a warning.
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import diagnostics
 from .errors import DivergedFieldError
-from .gauge import ah_forward, ah_forward_spectrum
+from .gauge import ah_forward_spectrum, ah_inverse
 from .spectral import (
     Field,
     PhysParams,
@@ -103,6 +104,10 @@ class DiagnosticHooks:
     def __post_init__(self):
         if self.sample_every_steps < 1:
             raise ValueError("sample_every_steps must be >= 1")
+        if self.snapshot_every_steps < 0:  # would quietly write no snapshot
+            raise ValueError(
+                f"snapshot_every_steps must be >= 0, got {self.snapshot_every_steps}"
+            )
         g = self.snapshot_grad_factor
         # <= 1 would snapshot every step, nan only the first and last state
         if g is not None and not (g > 1 and np.isfinite(g)):
@@ -115,20 +120,14 @@ class DiagnosticHooks:
 
 @dataclass(frozen=True)
 class SimState:
-    """Propagation state. In the GAUGE_FRAME backend the stored field is the
-    E = 0 frame function; observed_field() maps it to the physical one."""
+    """Propagation state: the physical field u at time t, in either backend.
+    The GAUGE_FRAME backend's frame function lives only inside the kernel."""
 
     t: float
     field: Field
     params: PhysParams
     backend: Backend = Backend.GAUGE_FRAME
     step_count: int = 0
-    diverged: bool = False
-
-    def observed_field(self) -> Field:
-        if self.backend is Backend.GAUGE_FRAME and self.params.E_norm > 0:
-            return ah_forward(self.field, self.t, self.params.E)
-        return self.field
 
 
 @dataclass(frozen=True)
@@ -252,18 +251,23 @@ class _Stepper:
     so a step costs one inverse and one forward transform. Kinetic
     multipliers are unimodular, so |fh|^2 already gives the post-step mass,
     |grad|^2, momentum and spectral fill.
+
+    In the accelerated frame (GAUGE_FRAME with E != 0) fh is the spectrum of
+    the E = 0 frame function; __init__ maps the state in, observed() out.
     """
 
     def __init__(self, state: SimState):
         _keep_transform_scratch()
-        grid = state.field.grid
+        self.grid = grid = state.field.grid
         self.params = state.params
         self.vol = grid.cell_volume
         self.k_sq = grid.k_sq
-        self.potential = None
-        if state.backend is Backend.DIRECT_POTENTIAL and state.params.E_norm > 0:
-            self.potential = grid.linear_phase(state.params.E)
-        self.fh = np.fft.fftn(state.field.data, norm="ortho")
+        E = state.params.E
+        # E.x: the potential in DIRECT_POTENTIAL, the frame's phase in GAUGE_FRAME
+        self.e_dot_x = grid.linear_phase(E) if state.params.E_norm > 0 else None
+        self.frame = self.e_dot_x is not None and state.backend is Backend.GAUGE_FRAME
+        u = ah_inverse(state.field, state.t, E) if self.frame else state.field
+        self.fh = np.fft.fftn(u.data, norm="ortho")
         self._data = np.empty_like(self.fh)
         self._factor = np.empty_like(self.fh)  # the nonlinear substep's factor
         self._half = np.empty_like(self.fh)   # H(dt/2), rebuilt when dt changes
@@ -299,9 +303,9 @@ class _Stepper:
             self._half_dt = dt
         fh *= self._half
         data = np.fft.ifftn(fh, norm="ortho", out=self._data)
-        data *= _nonlinear_factor(
-            data, dt, p.a, p.p, p.nl_strength, self.potential, out=self._factor
-        )
+        potential = None if self.frame else self.e_dot_x
+        data *= _nonlinear_factor(data, dt, p.a, p.p, p.nl_strength, potential,
+                                  out=self._factor)
         np.fft.fftn(data, norm="ortho", out=fh)
         self._owed = True
         power = np.square(np.abs(fh, out=self.power), out=self.power)
@@ -316,29 +320,50 @@ class _Stepper:
             self.mass_sq = 0.0
         self.grad_sq = _weighted_sum(self.k_sq, power, self.scratch) * self.vol
 
-    def field_data(self) -> np.ndarray:
-        """Samples of the stored field (a new array)."""
-        return np.fft.ifftn(self.settle(), norm="ortho")
+    def observed(self, t: float) -> tuple[Field, np.ndarray | None]:
+        """The physical field at time t (new samples) and its power spectrum:
+        the kernel's, or None in the accelerated frame, where the kernel's
+        power belongs to the frame function."""
+        spec = self.settle()
+        if self.frame:
+            u = ah_forward_spectrum(spec, self.grid, t, self.params.E, self.e_dot_x)
+            return Field(self.grid, u), None
+        return Field(self.grid, np.fft.ifftn(spec, norm="ortho")), self.power
+
+    def physical_grad_sq(self, t: float) -> float:
+        """|grad u|^2 of the physical field at time t from the kernel's sums.
+
+        In the accelerated frame, grad u picks up the drift term -i t E u,
+        so |grad u|^2 = |grad phi|^2 - 2 t E.P(phi) + t^2 |E|^2 |phi|^2
+        exactly; only then is the momentum P(phi) needed.
+        """
+        if not self.frame:
+            return max(self.grad_sq, 0.0)
+        mom = power_momentum(self.power, self.grid, self.scratch)
+        g_sq = (
+            self.grad_sq
+            - 2.0 * t * sum(e * m for e, m in zip(self.params.E, mom))
+            + t**2 * self.params.E_norm**2 * self.mass_sq
+        )
+        return max(g_sq, 0.0)
 
 
 def strang_step(s: SimState, dt: float) -> SimState:
     """Advance one Strang step of size dt > 0.
 
-    A non-finite result marks the returned state as diverged instead of
-    raising; the caller decides how to stop.
+    A non-finite result is returned as it is, without raising; the caller
+    decides how to stop.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     kernel = _Stepper(s)
     kernel.step(dt)
-    new_field = Field(s.field.grid, kernel.field_data())
     return SimState(
         t=s.t + dt,
-        field=new_field,
+        field=kernel.observed(s.t + dt)[0],
         params=s.params,
         backend=s.backend,
         step_count=s.step_count + 1,
-        diverged=not new_field.is_finite(),
     )
 
 
@@ -362,11 +387,13 @@ def evolve(
     GRAD_THRESHOLD when |grad u| exceeds ctrl.grad_stop, SPECTRAL_FILL when
     the top band holds more than ctrl.spectral_fill_max of the mass,
     DT_UNDERFLOW when dt falls below ctrl.dt_min, DIVERGED on non-finite
-    samples. Observers receive the physical (transformed) field.
+    samples. The returned state, samples and snapshots hold the physical
+    field in both backends.
 
     The stop checks and the step size read the kernel's spectrum, so an
     unsampled step costs two transforms; a sample or snapshot costs one
-    inverse transform more.
+    inverse transform more, and a sample in the accelerated frame one
+    forward transform more (diagnostics.sample's own).
     """
     if not (t_end > s.t and np.isfinite(t_end)):
         raise ValueError(
@@ -386,30 +413,6 @@ def evolve(
     dt_used = 0.0
     last_snap_g = None
 
-    # In the accelerated frame (GAUGE_FRAME with E != 0) the observed field
-    # is the frame map of the stored one; otherwise it is the stored field
-    # and its power spectrum is the kernel's.
-    frame_map = s.backend is Backend.GAUGE_FRAME and s.params.E_norm > 0
-    E = np.asarray(s.params.E)
-    e_dot_x = grid.linear_phase(E) if frame_map else None
-
-    def physical_grad_sq():
-        """|grad u|^2 of the physical field from stored-field functionals.
-
-        In the accelerated frame, grad u picks up the drift term -i t E u,
-        so |grad u|^2 = |grad phi|^2 - 2 t E.P(phi) + t^2 |E|^2 |phi|^2
-        exactly; only then is the momentum P(phi) needed.
-        """
-        if not frame_map:
-            return max(kernel.grad_sq, 0.0)
-        mom = power_momentum(kernel.power, grid, kernel.scratch)
-        g_sq = (
-            kernel.grad_sq
-            - 2.0 * t * sum(e * m for e, m in zip(s.params.E, mom))
-            + t**2 * s.params.E_norm**2 * kernel.mass_sq
-        )
-        return max(g_sq, 0.0)
-
     def record(g_sq_phys, fill, final=False):
         """Sample and snapshot when due; returns the observed field or None."""
         nonlocal last_snap_g
@@ -428,13 +431,7 @@ def evolve(
                 due_snap = True
         if not (due_sample or due_snap):
             return None
-        spec = kernel.settle()
-        if frame_map:
-            u_phys = Field(grid, ah_forward_spectrum(spec, grid, t, E, e_dot_x))
-            power = None
-        else:
-            u_phys = Field(grid, np.fft.ifftn(spec, norm="ortho"))
-            power = kernel.power
+        u_phys, power = kernel.observed(t)
         if due_sample:
             density = np.abs(u_phys.data, out=kernel.density)
             np.square(density, out=density)
@@ -457,7 +454,7 @@ def evolve(
 
     while True:
         # stop checks on the current state
-        g_sq_phys = physical_grad_sq()
+        g_sq_phys = kernel.physical_grad_sq(t)
         fill = power_fill_fraction(kernel.power, grid)
         if not np.isfinite(kernel.mass_sq) or not np.isfinite(kernel.grad_sq):
             traj.stop_reason = StopReason.DIVERGED
@@ -484,14 +481,13 @@ def evolve(
         steps += 1
         dt_used = dt
 
-    observed = record(g_sq_phys, fill, final=True)
+    final_field = record(g_sq_phys, fill, final=True)
     traj.columns = dict(zip(names, np.array(rows).T.copy()))
     final_state = SimState(
         t=t,
-        field=Field(grid, kernel.field_data()) if frame_map else observed,
+        field=final_field,
         params=s.params,
         backend=s.backend,
         step_count=s.step_count + steps,
-        diverged=traj.stop_reason is StopReason.DIVERGED,
     )
     return final_state, traj

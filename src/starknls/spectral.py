@@ -221,8 +221,8 @@ class PhysParams:
         if not all(np.isfinite(e) for e in self.E):
             raise ValueError(f"field vector E must be finite, got {self.E}")
         p = self.p if self.p is not None else 1.0 + 4.0 / self.n
-        if not p > 1.0:
-            raise ValueError(f"nonlinearity exponent must exceed 1, got {p}")
+        if not (p > 1.0 and np.isfinite(p)):
+            raise ValueError(f"nonlinearity exponent p must be finite and > 1, got {p}")
         object.__setattr__(self, "p", float(p))
         if not np.isfinite(self.nl_strength):
             raise ValueError("nl_strength must be finite")

@@ -188,6 +188,7 @@ class TestConfigGrammar:
             ("cfl", "nan"), ("cfl", "-1"), ("cfl", "0"), ("cfl", "inf"),
             ("grad_stop", "nan"), ("grad_stop", "-1"), ("grad_stop", "inf"),
             ("E", "nan"), ("E", "inf"), ("t_end", "inf"), ("t_end", "nan"),
+            ("p", "inf"), ("snapshot_every_steps", "-3"),
         ],
     )
     def test_nonfinite_or_nonpositive_rejected(self, line, value):
@@ -196,8 +197,10 @@ class TestConfigGrammar:
         elif line == "t_end":
             text = BASE.replace("t_end = 0.3", f"t_end = {value}")
         else:
-            text = BASE.replace("dt0 = 1e-3", f"dt0 = 1e-3\n{line} = {value}")
-        with pytest.raises(ConfigError, match=line):
+            anchor = {"p": "E = 0", "snapshot_every_steps": "sample_every_steps = 5"}
+            after = anchor.get(line, "dt0 = 1e-3")
+            text = BASE.replace(after, f"{after}\n{line} = {value}")
+        with pytest.raises(ConfigError, match=rf"\b{line}\b"):
             ScenarioConfig.from_text(text)
 
     @pytest.mark.parametrize("value", ["1", "0.5", "-1", "nan", "inf"])
@@ -574,6 +577,8 @@ class TestValidationGuards:
             PhysParams(n=1, a=-0.1)
         with pytest.raises(ValueError):
             PhysParams(n=1, p=0.5)
+        with pytest.raises(ValueError, match=r"\bp\b"):
+            PhysParams(n=1, p=np.inf)
         with pytest.raises(ValueError):
             PhysParams(n=2, E=(1.0, 2.0, 3.0))
         assert PhysParams(n=2).p == 3.0
@@ -584,6 +589,8 @@ class TestValidationGuards:
 
         with pytest.raises(ValueError):
             DiagnosticHooks(sample_every_steps=0)
+        with pytest.raises(ValueError, match="snapshot_every_steps"):
+            DiagnosticHooks(snapshot_every_steps=-3)
 
 
 class TestBackendDifference:

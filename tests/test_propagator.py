@@ -25,6 +25,7 @@ from starknls import (
     SimState,
     StepController,
     StopReason,
+    ah_forward,
     diagnostics,
     evolve,
     kinetic_substep,
@@ -240,13 +241,15 @@ class TestEvolve:
 
     def test_gauge_modulus_identity(self, grid_1d):
         # |u(t, x)| equals the shifted frame modulus |phi(t, x + t^2 E)|
+        # phi is the E = 0 run over the same fixed steps
         f = random_band_limited_field(grid_1d, seed=10)
-        state = make_state(grid_1d, 0.3 * f.data, a=0.05, E=(0.4,))
-        ctrl = StepController(dt0=1e-3)
-        final, traj = evolve(state, 0.5, ctrl, DiagnosticHooks(sample_every_steps=100))
-        phi = final.field
-        u = final.observed_field()
-        t = final.t
+        ctrl = StepController(dt0=1e-3, cfl_const=1e300)
+        hooks = DiagnosticHooks(sample_every_steps=100)
+        phi_run, u_run = (
+            evolve(make_state(grid_1d, 0.3 * f.data, a=0.05, E=(E,)), 0.5, ctrl, hooks)[0]
+            for E in (0.0, 0.4)
+        )
+        phi, u, t = phi_run.field, u_run.field, u_run.t
         shift_cells = t * t * 0.4 / grid_1d.dx[0]
         # compare against spectral shift of the modulus profile
         spec = np.fft.fft(phi.data)
@@ -268,7 +271,7 @@ class TestEvolve:
             0.5, ctrl, hooks,
         )
         diff = np.sqrt(
-            np.sum(np.abs(g_final.observed_field().data - d_final.field.data) ** 2)
+            np.sum(np.abs(g_final.field.data - d_final.field.data) ** 2)
             * grid.cell_volume
         )
         assert diff < 1e-6
@@ -348,12 +351,11 @@ class TestFusedKernel:
         assert np.max(np.abs(np.diff(tr1.columns["dt"][1:]))) > 0  # dt adapts
         assert f1.t == f7.t
         assert rel_l2(f7.field, f1.field.data) < 1e-12
-        assert rel_l2(f7.observed_field(), f1.observed_field().data) < 1e-12
 
-    def test_transform_budget(self, gs_1d, fft_calls, monkeypatch):
-        # E = 0: two transforms per step, one per sample, and the initial
-        # spectrum; the observers reuse the kernel's spectrum
-        state = small_collapse_state(gs_1d)
+    @staticmethod
+    def count_transforms(state, fft_calls, monkeypatch):
+        """Steps, samples, complex transforms in all and per sample call of
+        one sampled run."""
         real_sample = diagnostics.sample
         in_sample = []
 
@@ -371,8 +373,26 @@ class TestFusedKernel:
                              DiagnosticHooks(sample_every_steps=3))
         steps, samples = final.step_count, len(traj.columns["t"])
         assert steps > 50 and samples == len(in_sample)
-        assert complex_calls() <= 2 * steps + samples + 2
+        return steps, samples, complex_calls(), in_sample
+
+    def test_transform_budget(self, gs_1d, fft_calls, monkeypatch):
+        # E = 0: two transforms per step, one per sample, and the initial
+        # spectrum; the observers reuse the kernel's spectrum
+        steps, samples, calls, in_sample = self.count_transforms(
+            small_collapse_state(gs_1d), fft_calls, monkeypatch
+        )
+        assert calls <= 2 * steps + samples + 2
         assert in_sample == [0] * samples
+
+    def test_transform_budget_in_frame(self, gs_1d, fft_calls, monkeypatch):
+        # E != 0 in the frame: a sample maps out with one inverse transform
+        # and takes its power with one forward transform; the final state is
+        # the final sample's field, so it costs nothing more
+        steps, samples, calls, in_sample = self.count_transforms(
+            small_collapse_state(gs_1d, E=0.3), fft_calls, monkeypatch
+        )
+        assert calls <= 2 * steps + 2 * samples + 1
+        assert in_sample == [1] * samples
 
     def test_observed_states_match_repeated_strang_step(self, gs_1d):
         # every sampled or snapshotted field has received its owed half-step:
@@ -393,6 +413,57 @@ class TestFusedKernel:
                 checked += 1
         assert checked == len(traj.snapshots) - 1  # all but the initial one
         assert rel_l2(final.field, state.field.data) < 1e-9
+
+
+class TestPhysicalStates:
+    """Every state evolve and strang_step take or return holds the physical
+    field; the accelerated frame stays inside the kernel."""
+
+    DT = 2.0**-10  # a fixed step that sums exactly to the split time
+
+    def gauge_state(self, grid, E):
+        f = random_band_limited_field(grid, seed=14)
+        return make_state(grid, 0.5 * f.data, a=0.1, E=(E,))
+
+    def run(self, state, t_end):
+        ctrl = StepController(dt0=self.DT, cfl_const=1e300)
+        return evolve(state, t_end, ctrl, DiagnosticHooks(sample_every_steps=64))[0]
+
+    def test_split_run_matches_unbroken(self, grid_1d):
+        # the continuation maps the physical state at t = 0.25 into the frame
+        state = self.gauge_state(grid_1d, 0.3)
+        whole = self.run(state, 0.5)
+        half = self.run(state, 0.25)
+        rest = self.run(half, 0.5)
+        assert half.t == 0.25 and rest.t == whole.t == 0.5
+        assert rest.step_count == whole.step_count == 512
+        assert rel_l2(rest.field, whole.field.data) < 1e-12
+
+    def test_strang_step_replay_gives_physical_field(self, grid_1d):
+        # the frame run mapped out equals the E = 0 run mapped by ah_forward
+        state = self.gauge_state(grid_1d, 0.3)
+        final = self.run(state, 0.25)
+        frame = self.run(self.gauge_state(grid_1d, 0.0), 0.25)
+        assert rel_l2(final.field, ah_forward(frame.field, 0.25, [0.3]).data) < 1e-12
+        for _ in range(final.step_count):
+            state = strang_step(state, self.DT)
+        assert state.t == final.t
+        assert rel_l2(state.field, final.field.data) < 1e-12
+
+    @pytest.mark.parametrize(
+        "E, backend",
+        [(0.0, Backend.GAUGE_FRAME), (0.3, Backend.GAUGE_FRAME),
+         (0.3, Backend.DIRECT_POTENTIAL)],
+        ids=["E0", "gauge", "direct"],
+    )
+    def test_final_state_is_last_snapshot(self, grid_1d, E, backend):
+        f = random_band_limited_field(grid_1d, seed=15)
+        state = make_state(grid_1d, 0.5 * f.data, a=0.1, E=(E,), backend=backend)
+        hooks = DiagnosticHooks(sample_every_steps=7, snapshot_every_steps=40)
+        final, traj = evolve(state, 0.1, StepController(dt0=1e-3), hooks)
+        last = traj.snapshots[-1]
+        assert last.t == final.t
+        assert np.array_equal(last.field.data, final.field.data)
 
 
 class TestKineticMultiplier:
