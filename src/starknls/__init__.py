@@ -54,7 +54,6 @@ from .propagator import (
 from .diagnostics import (
     BlowupReport,
     ConcentrationPoint,
-    DiagnosticsSample,
     LawCheckReport,
     blowup_sufficient_condition,
     check_energy_rate,
@@ -87,7 +86,6 @@ __all__ = [
     "BlowupReport",
     "ConcentrationPoint",
     "DiagnosticHooks",
-    "DiagnosticsSample",
     "Field",
     "GridSpec",
     "GroundState",

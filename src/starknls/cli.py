@@ -150,7 +150,7 @@ def _cmd_threshold_scan(args) -> int:
         note = f"  [{row['notes']}]" if row.get("notes") else ""
         print(f"c={row['c']:.4g}: {row['outcome']}{extra}{note}")
     if args.out:
-        keys = ["c", "outcome", "t_final"]
+        keys = ["c", "outcome", "t_final", "notes"]
         write_report_csv(Path(args.out), [{k: r.get(k, "") for k in keys} for r in rows])
     return 0
 

@@ -306,6 +306,9 @@ class ScenarioConfig:
                 f"[scenario] t_end must be positive and finite, got {self.t_end}"
             )
         rp = self.recipe_params
+        for key, (tag, _) in _SCHEMA["initial"].items():
+            if tag in ("float", "floats") and not np.all(np.isfinite(rp[key])):
+                raise ConfigError(f"[initial] {key} must be finite, got {rp[key]}")
         dx = max(grid.dx)
         if self.needs_ground_state() and dx >= MAX_RESOLVED_DX:
             raise ConfigError(f"[grid] dx={dx:.3f} too coarse for ground-state "

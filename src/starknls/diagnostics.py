@@ -1,23 +1,24 @@
 """Observable functionals, modified conservation-law checkers, blow-up
 detection and rate fitting, and mass-concentration measurements.
 
-Functional conventions (all quadratures are Riemann sums with weight dx^n):
+Functional conventions (all quadratures are Riemann sums with weight dx^n),
+named as the trajectory.csv columns and the keys of sample's row:
 
     mass_sq      = integral |u|^2
-    grad_sq      = integral |grad u|^2   (spectral)
+    grad_norm_sq = integral |grad u|^2   (spectral)
     lp_sum       = integral |u|^(p+1)
-    E0           = grad_sq - 2/(p+1) lp_sum
+    E0           = grad_norm_sq - 2/(p+1) lp_sum
     stark_moment = integral (E.x) |u|^2
     EV           = E0 + stark_moment     (definitional identity)
-    momentum     = Im integral conj(u) grad u, per axis
+    P = (Px, Py, Pz) = Im integral conj(u) grad u, one column per axis
     variance     = integral |x|^2 |u|^2
 
 Expected evolution laws for the damped equation with uniform field E and
 damping a (adjudicated empirically by the checkers):
 
     mass_sq(t)   = e^{-2 a t} mass_sq(0)
-    d E0 / dt    = -2 E.P - 2 a grad_sq + 2 a lp_sum
-    d EV / dt    = -2 a stark_moment - 2 a grad_sq + 2 a lp_sum
+    d E0 / dt    = -2 E.P - 2 a grad_norm_sq + 2 a lp_sum
+    d EV / dt    = -2 a stark_moment - 2 a grad_norm_sq + 2 a lp_sum
     d P  / dt    = -E mass_sq^q - 2 a P   with q in {1, 2} adjudicated
 """
 
@@ -36,21 +37,6 @@ from .storage import MOMENTUM_COLUMNS
 # trajectory minimum belong to the collapse window
 FIT_WINDOW_FACTOR = 30.0
 FIT_MIN_POINTS = 20
-
-
-@dataclass(frozen=True)
-class DiagnosticsSample:
-    """All scalar observables of one field at one time."""
-
-    t: float
-    mass_sq: float
-    grad_sq: float
-    e0: float
-    ev: float
-    momentum: tuple[float, ...]
-    variance: float
-    lp_sum: float
-    stark_moment: float
 
 
 @dataclass(frozen=True)
@@ -92,8 +78,11 @@ def sample(
     u: Field, t: float, params: PhysParams,
     power: np.ndarray | None = None, density: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
-) -> DiagnosticsSample:
-    """Evaluate every observable on a (physical-frame) field.
+) -> dict[str, float]:
+    """Evaluate every observable on a (physical-frame) field: the sample's
+    trajectory row, keyed by the trajectory.csv column names (t, mass_sq,
+    grad_norm_sq, E0, EV, one momentum column per axis, variance) without
+    dt and spectral_fill, plus lp_sum and stark_moment.
 
     power is |u_hat|^2 of the unitary spectrum of u, and density is |u|^2,
     if the caller already has them; otherwise power is computed here with
@@ -133,17 +122,11 @@ def sample(
                 stark_moment += e * (_weighted_sum(xg, density, scratch) * vol)
     variance = _weighted_sum(grid.radius_sq, density, scratch) * vol
 
-    return DiagnosticsSample(
-        t=t,
-        mass_sq=mass_sq,
-        grad_sq=grad_sq,
-        e0=e0,
-        ev=e0 + stark_moment,
-        momentum=mom,
-        variance=variance,
-        lp_sum=lp_sum,
-        stark_moment=stark_moment,
-    )
+    return {
+        "t": t, "mass_sq": mass_sq, "grad_norm_sq": grad_sq, "E0": e0,
+        "EV": e0 + stark_moment, **dict(zip(MOMENTUM_COLUMNS, mom)),
+        "variance": variance, "lp_sum": lp_sum, "stark_moment": stark_moment,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -615,5 +598,5 @@ def blowup_sufficient_condition(u0: Field, params: PhysParams) -> bool:
     Values of E0 within round-off of zero (the ground state itself) are not
     treated as negative: a sufficient condition must not fire on noise."""
     s = sample(u0, 0.0, params)
-    dead_band = 1e-9 * max(1.0, s.grad_sq)
-    return s.ev - s.stark_moment < -dead_band
+    dead_band = 1e-9 * max(1.0, s["grad_norm_sq"])
+    return s["EV"] - s["stark_moment"] < -dead_band

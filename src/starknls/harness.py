@@ -164,9 +164,7 @@ def _write_bundle(out: Path, cfg, traj, blowup, summary, law_checks) -> None:
     (out / "config_echo.cfg").write_text(cfg.to_text())
     write_trajectory_csv(out / "trajectory.csv", traj)
     write_report_csv(
-        out / "summary.csv",
-        [{"key": k, "value": v if isinstance(v, str) else fmt_float(v)
-          if isinstance(v, float) else str(v)} for k, v in summary.items()],
+        out / "summary.csv", [{"key": k, "value": v} for k, v in summary.items()]
     )
     write_report_csv(
         out / "law_checks.csv",

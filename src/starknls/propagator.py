@@ -46,7 +46,6 @@ from .spectral import (
     power_fill_fraction,
     power_momentum,
 )
-from .storage import trajectory_header
 
 
 class Backend(enum.Enum):
@@ -141,9 +140,10 @@ class Snapshot:
 class TrajectoryRecord:
     """Sampled diagnostics, snapshots, and the stop descriptor of one run.
 
-    columns maps a name to one value per sample: the trajectory.csv columns
-    (storage.trajectory_header), and in a live run also lp_sum and
-    stark_moment, which the file does not store. A bundle's record is
+    columns maps a name to one value per sample. In a live run the names are
+    the keys of diagnostics.sample's row plus dt and spectral_fill: the
+    trajectory.csv columns and lp_sum and stark_moment, which the file does
+    not store. A bundle's record is
     TrajectoryRecord(columns=read_trajectory_csv(path), stop_reason=...).
     """
 
@@ -403,8 +403,7 @@ def evolve(
     traj = TrajectoryRecord()
 
     grid = s.field.grid
-    names = (*trajectory_header(grid.n), "lp_sum", "stark_moment")
-    rows = []  # one tuple per sample, in the order of names
+    rows = []  # one dict per sample, keyed by column name
     if not s.field.is_finite():
         raise DivergedFieldError("initial field contains non-finite samples")
     kernel = _Stepper(s)
@@ -435,13 +434,11 @@ def evolve(
         if due_sample:
             density = np.abs(u_phys.data, out=kernel.density)
             np.square(density, out=density)
-            obs = diagnostics.sample(
+            row = diagnostics.sample(
                 u_phys, t, s.params, power=power, density=density,
                 scratch=kernel.scratch,
             )
-            rows.append((obs.t, obs.mass_sq, obs.grad_sq, obs.e0, obs.ev,
-                         *obs.momentum, obs.variance, dt_used, fill,
-                         obs.lp_sum, obs.stark_moment))
+            rows.append(dict(row, dt=dt_used, spectral_fill=fill))
             bmass = boundary_mass_fraction(u_phys, density)
             if bmass > _BOUNDARY_SEAM_LIMIT:
                 traj.warn_once("seam_contamination", t)
@@ -482,7 +479,7 @@ def evolve(
         dt_used = dt
 
     final_field = record(g_sq_phys, fill, final=True)
-    traj.columns = dict(zip(names, np.array(rows).T.copy()))
+    traj.columns = {name: np.array([r[name] for r in rows]) for name in rows[0]}
     final_state = SimState(
         t=t,
         field=final_field,

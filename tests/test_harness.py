@@ -189,10 +189,18 @@ class TestConfigGrammar:
             ("grad_stop", "nan"), ("grad_stop", "-1"), ("grad_stop", "inf"),
             ("E", "nan"), ("E", "inf"), ("t_end", "inf"), ("t_end", "nan"),
             ("p", "inf"), ("snapshot_every_steps", "-3"),
+            ("width", "inf"), ("amplitude", "nan"), ("x0", "inf"),
+            ("k0", "nan"), ("c", "inf"), ("b", "nan"), ("theta", "inf"),
+            ("T", "nan"), ("T", "inf"),
         ],
     )
     def test_nonfinite_or_nonpositive_rejected(self, line, value):
-        if line == "E":
+        set_in_base = {"width": "width = 1.0", "amplitude": "amplitude = 0.5"}
+        if line in set_in_base:
+            text = BASE.replace(set_in_base[line], f"{line} = {value}")
+        elif line in ("x0", "k0", "c", "b", "theta", "T"):
+            text = with_initial(BASE, **{line: value})
+        elif line == "E":
             text = BASE.replace("E = 0", f"E = {value}")
         elif line == "t_end":
             text = BASE.replace("t_end = 0.3", f"t_end = {value}")
@@ -290,6 +298,9 @@ class TestRunScenario:
         result = run_scenario(cfg, out_dir=tmp_path / "run")
         cols = read_trajectory_csv(result.out_dir / "trajectory.csv")
         assert list(cols) == trajectory_header(cfg.n)
+        assert sorted(result.traj.columns) == sorted(
+            [*trajectory_header(cfg.n), "lp_sum", "stark_moment"]
+        )
         assert len(cols["t"]) > 2
         for name, values in cols.items():
             assert values.tobytes() == result.traj.columns[name].tobytes(), name
@@ -794,7 +805,8 @@ class TestCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "c=0.5: global" in out
-        assert (tmp_path / "scan.csv").exists()
+        header = (tmp_path / "scan.csv").read_text().splitlines()[0]
+        assert header == "c,outcome,t_final,notes"
 
     def test_convergence_verb(self, tmp_path, capsys):
         cfg_path = tmp_path / "conv.cfg"

@@ -119,7 +119,6 @@ class TestStepMass:
 line_text = st.text(
     st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12
 ).map(str.strip)
-any_float = st.floats(allow_nan=True, allow_infinity=True)
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
 positive_finite = positive.filter(np.isfinite)
@@ -180,14 +179,14 @@ def config_texts(draw):
         },
         "initial": {
             "recipe": st.just(recipe),
-            **{k: float_text(any_float) for k in ("c", "b", "theta", "T")},
+            **{k: float_text(finite) for k in ("c", "b", "theta", "T")},
             # a Gaussian recipe's width must span 2 dx
-            "width": float_text(any_float.filter(
+            "width": float_text(finite.filter(
                 lambda w: recipe != "gaussian" or not w < 2.0 * dx
             )),
-            "amplitude": float_text(any_float),
-            "x0": vector_text(any_float, 1, n),
-            "k0": vector_text(any_float, 1, n),
+            "amplitude": float_text(finite),
+            "x0": vector_text(finite, 1, n),
+            "k0": vector_text(finite, 1, n),
             "path": line_text.filter(bool) if recipe == "snapshot" else line_text,
         },
         "controller": {

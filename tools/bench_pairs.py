@@ -34,6 +34,9 @@ one.
 One ``--trace 1`` run per side follows (parent first), so the entry also
 holds each side's per-layer metrics, which the benchmark reports as medians
 over the traced passes of that run: the layer that moved.
+
+``src_lines`` gives the line count of ``src/**/*.py`` in the parent export and
+in the checkout, so the file states the change's net ``src/`` lines.
 """
 
 from __future__ import annotations
@@ -132,6 +135,11 @@ def benchmark_bundle():
     return bundle
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of the Python sources under checkout/src, as wc -l counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src").rglob("*.py"))
+
+
 def side_stats(values: list[float]) -> dict:
     if len(values) < 2:
         v = values[0] if values else float("nan")
@@ -213,6 +221,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_parent_") as tmp:
         parent_dir = Path(tmp)
         export_revision(parent_sha, parent_dir)
+        lines = {"parent": src_lines(parent_dir), "change": src_lines(ROOT)}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"pair": i, "first": order[0]}
@@ -251,6 +260,7 @@ def main(argv=None) -> int:
         change=git("rev-parse", "HEAD") + (" with uncommitted changes" if dirty else ""),
         machine=machine(),
         versions=versions(),
+        src_lines=lines,
         command=f"python3 benchmark/run.py --workload W --seed S "
                 f"--seconds {seconds:g} --trace 0",
         method="Each pair runs the command once on an export of the parent and "
