@@ -85,19 +85,18 @@ def _octant_weights(shape) -> np.ndarray:
                   [np.r_[1.0, np.full(N // 2 - 1, 2.0), 1.0] for N in shape])
 
 
-def _octant_transform(q: np.ndarray) -> np.ndarray:
-    """Unnormalised DFT of an even field from its octant samples.
-
-    Along each axis in turn, the octant's even periodic extension
-    q_0, ..., q_{N/2}, q_{N/2-1}, ..., q_1 has a real DFT: a DCT-I, taken
-    here as the real part of one rfft, modes 0 to N/2. The box center's
-    sign (-1)^k is left out; it cancels between the forward and the inverse
-    transform and in |q^|^2. Applied twice it returns q times the number of
-    grid points.
+def _octant_transform(q: np.ndarray, norm: str = "forward") -> np.ndarray:
+    """DFT of an even field from its octant samples, unnormalised, or over the
+    number of grid points with norm="backward". Per axis, the octant q_0, ...,
+    q_{N/2} is the half spectrum of its even extension, so an irfft of length
+    N cut to points 0 to N/2 is the extension's real DFT (a DCT-I); complex
+    input keeps it off numpy's slower path for real input. The box center's
+    sign (-1)^k is left out; it cancels between the two directions and in
+    |q^|^2.
     """
-    for axis, m in enumerate(q.shape):
-        mirror = np.r_[0:m, m - 2 : 0 : -1]
-        q = np.fft.rfft(q.take(mirror, axis=axis), axis=axis).real
+    for m in reversed(q.shape):  # each axis is transformed last, then moved first
+        q = np.fft.irfft(q.astype(complex), 2 * m - 2, norm=norm)
+        q = np.moveaxis(q[..., :m], -1, 0)
     return q
 
 
@@ -123,7 +122,7 @@ def petviashvili(
         seed_width: width of the centered Gaussian seed exp(-|x|^2 / (2 w^2)).
 
     Raises:
-        ResolutionError: tol <= 0 or the grid is too coarse.
+        ResolutionError: tol is not positive and finite, or dx is too coarse.
         DegenerateSeedError: the iteration collapsed to the zero field.
         IterationError: no convergence within max_iter (carries the last
             residual).
@@ -131,8 +130,8 @@ def petviashvili(
     n = grid.n
     if tol is None:
         tol = DEFAULT_TOL[n]
-    if tol <= 0:
-        raise ResolutionError(f"tolerance must be positive, got {tol}")
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ResolutionError(f"tol must be positive and finite, got {tol}")
     if max(grid.dx) >= MAX_RESOLVED_DX:
         raise ResolutionError(
             f"dx={max(grid.dx):.3f} too coarse for the unit-width profile "
@@ -151,10 +150,9 @@ def petviashvili(
                                  for a, N in enumerate(grid.shape)])
     ksq = reduce(np.add.outer, [grid.axis_wavenumbers(a)[: N // 2 + 1] ** 2
                                 for a, N in enumerate(grid.shape)])
-    # qh is the octant spectrum over the number of points, so that the
-    # forward transform of qh is q
+    # qh is the octant spectrum over the number of points: q = T(qh)
     points = grid.num_points
-    inv_helmholtz = 1.0 / ((1.0 + ksq) * points)
+    inv_helmholtz = 1.0 / (1.0 + ksq)
     num_weight = weight * (1.0 + ksq) * points
 
     # the spectral residual cannot fall below the round-off floor of the
@@ -165,7 +163,7 @@ def petviashvili(
     # q_new is in hand before its inverse transform, and the residual's q^p
     # is the next iteration's
     q = np.exp(-r_sq / (2.0 * seed_width**2))
-    qh = _octant_transform(q) / points
+    qh = _octant_transform(q, "backward")
     qp = q**p
     residual = np.inf
     for m in range(1, max_iter + 1):
@@ -174,7 +172,7 @@ def petviashvili(
         if not den > 0:
             raise DegenerateSeedError("iteration collapsed to the zero field")
         stab = num / den
-        qh_new = stab**gamma * _octant_transform(qp) * inv_helmholtz
+        qh_new = stab**gamma * _octant_transform(qp, "backward") * inv_helmholtz
         q_new = _octant_transform(qh_new)
         change = float(np.max(np.abs(q_new - q)))
         q, qh = q_new, qh_new

@@ -81,6 +81,8 @@ class StepController:
             raise ValueError("spectral_fill_max must lie in (0, 1)")
         if not self.dt0 > 0:
             raise ValueError("dt0 must be positive")
+        if not self.dt_min < self.dt0:  # the first step would end the run
+            raise ValueError(f"dt_min={self.dt_min} must be below dt0={self.dt0}")
         # nan would silently disable the step bound or the blow-up stop
         if not (self.cfl_const > 0 and np.isfinite(self.cfl_const)):
             raise ValueError(f"cfl must be positive and finite, got {self.cfl_const}")

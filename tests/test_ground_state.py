@@ -210,6 +210,12 @@ class TestPetviashvili3D:
         assert gs.grad_sq == pytest.approx(1.5 * gs.mass_sq, rel=1e-4)
         assert abs(ground_state_energy(gs)) < 1e-4 * gs.mass_sq
 
+    def test_64_cubed_solve_is_pinned(self):
+        # the benchmark's solve: its iteration count and mass to round-off
+        gs = petviashvili(GridSpec.create(3, 6.25, 64))
+        assert gs.iterations == 48
+        assert gs.mass_sq == pytest.approx(63.7905297906987, rel=1e-13)
+
 
 class TestThreshold:
     def test_1d_value(self):
@@ -247,8 +253,10 @@ class TestEnergy:
 
 class TestErrors:
     def test_bad_tolerance(self, grid_1d):
-        with pytest.raises(ResolutionError):
-            petviashvili(grid_1d, tol=0.0)
+        # inf would stop after one iteration, nan would spend the budget
+        for tol in (0.0, -1e-8, np.inf, np.nan):
+            with pytest.raises(ResolutionError, match=r"\btol\b"):
+                petviashvili(grid_1d, tol=tol)
 
     def test_coarse_grid_rejected(self):
         with pytest.raises(ResolutionError):
@@ -317,12 +325,12 @@ class TestHalfSpectrumSolver:
     def test_two_real_transforms_per_iteration(self, fft_calls):
         # the seed's transform, two per iteration, and the residual's only on
         # the last iterations, once the iterates have settled. One n-D octant
-        # transform is one rfft per axis
+        # transform is one irfft per axis
         grid = GridSpec.create(2, 6.0, 64)
         gs = petviashvili(grid)
         assert sum(fft_calls[k] for k in COMPLEX_FFTS) == 0
         real = sum(fft_calls[k] for k in REAL_FFTS)
-        assert real == fft_calls["rfft"] and real % grid.n == 0
+        assert real == fft_calls["irfft"] and real % grid.n == 0
         assert 0 < real // grid.n <= 2 * gs.iterations + 3
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
@@ -391,6 +399,13 @@ class TestOctantTransform:
         q = random_octant(shape)
         back = _octant_transform(_octant_transform(q)) / np.prod(shape)
         assert np.max(np.abs(back - q)) <= 1e-13 * np.max(np.abs(q))
+
+    @OCTANT_SHAPES
+    def test_backward_norm_divides_by_the_point_count(self, shape):
+        q = random_octant(shape)
+        plain = _octant_transform(q)
+        scaled = _octant_transform(q, "backward") * np.prod(shape)
+        assert np.max(np.abs(scaled - plain)) <= 1e-13 * np.max(np.abs(plain))
 
     @OCTANT_SHAPES
     def test_weights_turn_octant_sums_into_full_sums(self, shape):

@@ -192,6 +192,7 @@ class TestConfigGrammar:
             ("width", "inf"), ("amplitude", "nan"), ("x0", "inf"),
             ("k0", "nan"), ("c", "inf"), ("b", "nan"), ("theta", "inf"),
             ("T", "nan"), ("T", "inf"),
+            ("dt_min", "inf"), ("dt_min", "1"), ("dt_min", "1e-3"),
         ],
     )
     def test_nonfinite_or_nonpositive_rejected(self, line, value):
@@ -580,6 +581,9 @@ class TestValidationGuards:
             StepController(spectral_fill_max=1.5)
         with pytest.raises(ValueError):
             StepController(dt0=-1.0)
+        # at or above dt0 the first step would end the run with DT_UNDERFLOW
+        with pytest.raises(ValueError, match=r"\bdt_min=.*\bdt0="):
+            StepController(dt0=1e-3, dt_min=1e-3)
 
     def test_phys_params_invariants(self):
         from starknls import PhysParams

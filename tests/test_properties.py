@@ -139,7 +139,7 @@ def vector_text(values, *sizes):
 def config_texts(draw):
     """The text of a config file that sets every key, with any value the
     parser accepts for it; values that couple keys (the grid spacing, a
-    Gaussian's width) are drawn to pass validation."""
+    Gaussian's width, dt_min below dt0) are drawn to pass validation."""
     n = draw(st.integers(1, 3))
     # a per-axis vector has one component (used on every axis) or n
     counts = st.sampled_from(sorted({1, n}))
@@ -158,6 +158,7 @@ def config_texts(draw):
             lambda h, ks=ks: all(0 < 2.0 * h / k < dx_max for k in ks)))
          for ks in spans]
     dx = max(2.0 * h / k for h, ks in zip(L, spans) for k in ks)
+    dt0 = draw(positive.filter(lambda v: v > np.nextafter(0.0, 1.0)))
     values = {
         "scenario": {
             "id": line_text,
@@ -190,9 +191,11 @@ def config_texts(draw):
             "path": line_text.filter(bool) if recipe == "snapshot" else line_text,
         },
         "controller": {
-            "dt0": float_text(positive),
+            "dt0": st.just(repr(dt0)),
             "cfl": float_text(positive_finite),
-            "dt_min": float_text(positive),
+            "dt_min": float_text(
+                st.floats(0.0, dt0, exclude_min=True, exclude_max=True)
+            ),
             "spectral_fill_max": float_text(
                 st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
             ),
