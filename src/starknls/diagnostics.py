@@ -25,7 +25,7 @@ damping a (adjudicated empirically by the checkers):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import exp, log, sqrt
 
 import numpy as np
 
@@ -275,124 +275,45 @@ def check_momentum_law(traj, params: PhysParams) -> LawCheckReport:
 # ---------------------------------------------------------------------------
 
 
-_GOLDEN_MEAN = 0.5 * (3.0 - sqrt(5.0))
-_SQRT_EPS = sqrt(2.2e-16)
-_XATOL = 1e-14
-_MAXFUN = 500
+_SIGMA_MIN = 1e-12
+_SIGMA_RTOL = 1e-10
+_INV_PHI = 0.5 * (sqrt(5.0) - 1.0)
 
 
-def _minimize_bounded(func, x1, x2):
-    """Minimizer of func on [x1, x2] by Brent's bounded method: golden-section
-    steps with parabolic interpolation (R. P. Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 5).
+def _minimize_sigma(objective, span):
+    """Minimizer of objective(sigma) over sigma = T* - t_last in
+    [_SIGMA_MIN, span], by golden-section search in ln sigma (J. Kiefer,
+    Proc. AMS 4 (1953) 502).
 
-    A step-for-step port of scipy.optimize._optimize._minimize_scalar_bounded
-    (SciPy, BSD-3-Clause; copyright 2001-2002 Enthought, Inc., 2003 SciPy
-    Developers), with the same constants and arithmetic, so x is bit-identical
-    to minimize_scalar(func, bounds=(x1, x2), method="bounded",
-    options={"xatol": 1e-14}).x; disp and the result object are dropped.
-
-    The search stops once the bracket lies within 2 tol1 of x, where
-    tol1 = sqrt(2.2e-16) |x| + xatol / 3, or after 500 evaluations. The
-    effective tolerance is therefore about 1.5e-8 |x|: the relative term
-    outweighs xatol = 1e-14 for |x| above 1e-6 (3.4e-9 at the collapse
-    fixture's T* = 0.23).
-    """
-    if not (np.size(x1) == 1 and np.isfinite(x1)
-            and np.size(x2) == 1 and np.isfinite(x2)):
-        raise ValueError("Optimization bounds must be finite scalars.")
-    if x1 > x2:
-        raise ValueError("The lower bound exceeds the upper bound.")
-
-    a, b = x1, x2
-    fulc = a + _GOLDEN_MEAN * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * np.abs(xf) + _XATOL / 3.0
-    tol2 = 2.0 * tol1
-
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = 1
-        # parabolic fit through the three best points
-        if np.abs(e) > tol1:
-            golden = 0
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-
-            # accept the parabola only inside the bracket and shrinking
-            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf))
-                    and (p < q * (b - xf))):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:
-                golden = 1
-
-        if golden:
-            if xf >= xm:
-                e = a - xf
-            else:
-                e = b - xf
-            rat = _GOLDEN_MEAN * e
-
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    Each step keeps the golden fraction of the bracket, so the search stops
+    once the bracket is narrower than _SIGMA_RTOL in ln sigma, a relative
+    tolerance on sigma, after a number of steps fixed by the bracket alone
+    (55 for a window spanning 0.2). A minimum at an end of the bracket is
+    found to the same tolerance."""
+    a, b = log(_SIGMA_MIN), log(span)
+    x1, x2 = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    f1, f2 = objective(exp(x1)), objective(exp(x2))
+    while b - a > _SIGMA_RTOL:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_PHI * (b - a)
+            f1 = objective(exp(x1))
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * np.abs(xf) + _XATOL / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= _MAXFUN:
-            break
-
-    return xf
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_PHI * (b - a)
+            f2 = objective(exp(x2))
+    return exp(x1) if f1 <= f2 else exp(x2)
 
 
 def _profiled_loglog_fit(t, gsq):
     """Fit grad_sq = C loglog(1/(T-t)) / (T-t) by least squares on
-    log grad_sq; log C is profiled out, leaving a 1-d search over T*."""
-    t_last = t[-1]
+    log grad_sq; log C is profiled out, leaving a 1-d search over
+    sigma = T* - t_last."""
+    before = t[-1] - t
     span = max(t[-1] - t[0], 1e-9)
 
-    def objective(T):
-        sig = T - t
-        if np.any(sig <= 0):
-            return 1e300
+    def objective(sigma):
+        sig = sigma + before
         inner = np.log(1.0 / sig)
         if np.any(inner <= 1.0):
             return 1e300
@@ -400,21 +321,21 @@ def _profiled_loglog_fit(t, gsq):
         r = r - r.mean()
         return float(np.sum(r * r))
 
-    T = _minimize_bounded(objective, t_last + 1e-12, t_last + span)
-    rms = np.sqrt(objective(T) / len(t))
-    return float(T), float(rms)
+    sigma = _minimize_sigma(objective, span)
+    rms = np.sqrt(objective(sigma) / len(t))
+    return float(t[-1] + sigma), float(rms)
 
 
 def _profiled_power_fit(t, gnorm, gamma=None):
     """Fit grad_norm = C (T-t)^(-gamma): given T*, (log C, gamma) solve a
-    linear regression in log space; T* by 1-d bounded search. A given gamma
-    is held fixed and only log C is regressed."""
-    t_last = t[-1]
+    linear regression in log space; sigma = T* - t_last by 1-d search. A
+    given gamma is held fixed and only log C is regressed."""
+    before = t[-1] - t
     span = max(t[-1] - t[0], 1e-9)
     Y = np.log(gnorm)
 
-    def regress(T):
-        X = -np.log(T - t)
+    def regress(sigma):
+        X = -np.log(sigma + before)
         if gamma is None:
             A = np.vstack([np.ones_like(X), X]).T
             coef, *_ = np.linalg.lstsq(A, Y, rcond=None)
@@ -424,16 +345,11 @@ def _profiled_power_fit(t, gnorm, gamma=None):
             r = Y - coef[0] - gamma * X
         return coef, float(np.sum(r * r))
 
-    def objective(T):
-        if T <= t_last:
-            return 1e300
-        return regress(T)[1]
-
-    T = _minimize_bounded(objective, t_last + 1e-12, t_last + span)
-    coef, ss = regress(T)
+    sigma = _minimize_sigma(lambda s: regress(s)[1], span)
+    coef, ss = regress(sigma)
     # residual in log grad_sq units for comparability with the loglog model
     rms = np.sqrt(4.0 * ss / len(t))
-    return float(T), float(coef[1]), float(rms)
+    return float(t[-1] + sigma), float(coef[1]), float(rms)
 
 
 def detect_blowup_and_fit(traj) -> BlowupReport:
@@ -447,7 +363,8 @@ def detect_blowup_and_fit(traj) -> BlowupReport:
     whichever fits better. The power model is also fitted with gamma held at
     1/2; that gives sqrt_rate_residual and does not enter T_star_est. A
     trajectory that did not end in a blow-up stop reports blew_up=False with
-    no fit."""
+    no fit; one that did and holds a non-finite t or grad_norm_sq, or a t
+    that decreases, raises InsufficientDataError."""
     stop_name = traj.stop_reason.value
     if not traj.blew_up:
         return BlowupReport(
@@ -459,7 +376,12 @@ def detect_blowup_and_fit(traj) -> BlowupReport:
             power_residual=np.nan,
             sqrt_rate_residual=np.nan,
         )
+    for name in ("t", "grad_norm_sq"):
+        if not np.all(np.isfinite(traj.columns[name])):
+            raise InsufficientDataError(f"column {name} holds non-finite values")
     t = traj.columns["t"]
+    if np.any(np.diff(t) < 0):
+        raise InsufficientDataError("column t decreases")
     gnorm = np.sqrt(traj.columns["grad_norm_sq"])
     # collapse window: the contiguous tail above the growth threshold (a
     # mid-run dip must not splice early samples into the fit)

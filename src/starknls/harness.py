@@ -36,7 +36,7 @@ from .propagator import (
     TrajectoryRecord,
     evolve,
 )
-from .spectral import Field
+from .spectral import Field, l2_norm
 from .storage import (
     fmt_float,
     write_plot_data,
@@ -155,8 +155,7 @@ def backend_difference(cfg: ScenarioConfig, reference: Field | None = None) -> f
         reference = final.field
     alt = cfg.apply_overrides([f"scenario.backend={other.value}"])
     final_other, _ = _execute(alt)
-    diff = reference.data - final_other.field.data
-    return float(np.sqrt(np.sum(np.abs(diff) ** 2) * reference.grid.cell_volume))
+    return l2_norm(Field(reference.grid, reference.data - final_other.field.data))
 
 
 def _write_bundle(out: Path, cfg, traj, blowup, summary, law_checks) -> None:
@@ -379,8 +378,7 @@ def convergence_study(
     errors = []
     for dt in dt_values:
         u = _terminal_field(cfg.apply_overrides(_fixed_dt_overrides(dt)))
-        err = float(np.sqrt(np.sum(np.abs(u.data - ref.data) ** 2) * u.grid.cell_volume))
-        errors.append(err)
+        errors.append(l2_norm(Field(u.grid, u.data - ref.data)))
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     orders = [float(np.log2(r)) for r in ratios]
 
@@ -396,10 +394,7 @@ def convergence_study(
         )
         stride = N_ref // N
         sub = ref_field.data[(slice(None, None, stride),) * cfg.n]
-        err = float(
-            np.sqrt(np.sum(np.abs(u.data - sub) ** 2) * u.grid.cell_volume)
-        )
-        spatial_errors.append(err)
+        spatial_errors.append(l2_norm(Field(u.grid, u.data - sub)))
     drops = [
         spatial_errors[i] / max(spatial_errors[i + 1], 1e-300)
         for i in range(len(spatial_errors) - 1)

@@ -22,8 +22,10 @@ from starknls import (
     t_star_upper_bound,
 )
 from starknls import diagnostics
-from starknls.diagnostics import _minimize_bounded
+from starknls.diagnostics import _SIGMA_MIN, _SIGMA_RTOL, _minimize_sigma
 from starknls.errors import InsufficientDataError, NoBoundError, ResolutionError
+from starknls.ground_state import ground_state_1d_exact
+from starknls.spectral import grad_norm_sq
 
 from conftest import random_band_limited_field
 
@@ -223,15 +225,33 @@ class TestBlowupFit:
         assert not rep.fit_unreliable
 
     def test_manufactured_pure_power(self):
-        # the pseudo-conformal rate (T-t)^(-1) for the gradient norm
+        # the pseudo-conformal rate (T-t)^(-1) for the gradient norm, exact:
+        # the fit must return it to the search's tolerance
         T_true = 2.0
         sigma = np.geomspace(1e-6, 0.3, 150)[::-1]
         t = T_true - sigma
         gsq = sigma**-2.0
         rep = detect_blowup_and_fit(synthetic_trajectory(t, gsq))
-        assert rep.rate_exponent == pytest.approx(1.0, abs=0.03)
-        assert rep.T_star_est == pytest.approx(T_true, abs=1e-3)
+        assert abs(rep.rate_exponent - 1.0) < 1e-6
+        assert abs(rep.T_star_est - T_true) < 1e-10
         assert rep.power_residual <= rep.loglog_residual
+
+    def test_exact_pseudo_conformal_series(self):
+        # the 1D pseudo-conformal solution S collapses with
+        # |grad S|^2 = A/(1-t)^2 + B exactly, A = |Q'|^2 and B = |x Q|^2/4;
+        # 20,000 samples up to |grad S| = 2000
+        grid = GridSpec(n=1, shape=4096, half_widths=30.0)
+        x = grid.axis_coordinates(0)
+        q = ground_state_1d_exact(x)
+        A = grad_norm_sq(Field(grid, q))
+        B = float(np.sum(x**2 * q**2) * grid.cell_volume / 4.0)
+        assert A == pytest.approx(1.36035, abs=1e-5)
+        assert B == pytest.approx(0.41957, abs=1e-5)
+        t = np.linspace(0.0, 1.0 - np.sqrt(A / (2000.0**2 - B)), 20000)
+        rep = detect_blowup_and_fit(synthetic_trajectory(t, A / (1.0 - t) ** 2 + B))
+        assert not rep.fit_unreliable
+        assert abs(rep.T_star_est - 1.0) < 1e-6
+        assert abs(rep.rate_exponent - 1.0) < 1e-3
 
     def test_constant_series_not_blowup(self):
         t = np.linspace(0, 1, 50)
@@ -254,61 +274,52 @@ class TestBlowupFit:
         assert rep.fit_unreliable
 
 
-def assert_same_search(func, x1, x2):
-    """The port evaluates func at the same points as scipy's bounded method
-    with xatol = 1e-14, and returns the same x, bit for bit. Returns the
-    number of evaluations."""
-    port_points, ref_points = [], []
-
-    def recorded(points):
-        def f(x):
-            points.append(float(x).hex())
-            return func(x)
-        return f
-
-    x = _minimize_bounded(recorded(port_points), x1, x2)
-    ref = minimize_scalar(recorded(ref_points), bounds=(x1, x2), method="bounded",
-                          options={"xatol": 1e-14})
-    assert port_points == ref_points
-    assert float(x).hex() == float(ref.x).hex()
-    return len(port_points)
+def assert_search_matches_scipy(objective, span):
+    """_minimize_sigma against scipy's bounded method over ln sigma on the
+    same bracket. scipy stops within 2 (sqrt(2.2e-16) |ln sigma| + xatol/3)
+    of its minimizer in ln sigma; the search within _SIGMA_RTOL."""
+    sigma = _minimize_sigma(objective, span)
+    ref = minimize_scalar(lambda y: objective(np.exp(y)),
+                          bounds=(np.log(_SIGMA_MIN), np.log(span)),
+                          method="bounded", options={"xatol": 1e-12})
+    tol = 2.0 * (np.sqrt(2.2e-16) * abs(ref.x) + 1e-12 / 3.0) + _SIGMA_RTOL
+    assert abs(np.log(sigma) - ref.x) <= tol
+    return sigma
 
 
 class TestBoundedMinimizer:
-    """The port of scipy's bounded Brent method against scipy itself."""
+    """The golden-section search in ln sigma against scipy's bounded method."""
 
     @pytest.mark.parametrize("law", ["loglog", "sqrt"])
     def test_fit_objectives_match_scipy(self, law, monkeypatch):
         searched = []
 
-        def checked(func, x1, x2):
-            searched.append(assert_same_search(func, x1, x2))
-            return _minimize_bounded(func, x1, x2)
+        def checked(objective, span):
+            searched.append(assert_search_matches_scipy(objective, span))
+            return _minimize_sigma(objective, span)
 
-        monkeypatch.setattr(diagnostics, "_minimize_bounded", checked)
+        monkeypatch.setattr(diagnostics, "_minimize_sigma", checked)
         detect_blowup_and_fit(synthetic_trajectory(*manufactured_window(law)))
         # the loglog fit, the free power fit and the gamma = 1/2 power fit
         assert len(searched) == 3
 
     def test_parabola(self):
-        assert_same_search(lambda x: (x - 0.3) ** 2, 0.0, 1.0)
+        sigma = assert_search_matches_scipy(lambda s: (np.log(s) + 7.0) ** 2, 0.2)
+        assert sigma == pytest.approx(np.exp(-7.0), rel=_SIGMA_RTOL)
 
     @pytest.mark.parametrize("slope", [1.0, -1.0])
     def test_minimum_at_a_bound(self, slope):
-        assert_same_search(lambda x: slope * x, 0.5, 2.0)
+        sigma = assert_search_matches_scipy(lambda s: slope * s, 0.2)
+        assert sigma == pytest.approx(_SIGMA_MIN if slope > 0 else 0.2,
+                                      rel=_SIGMA_RTOL)
 
     def test_evaluation_budget(self):
-        # a minimum at 0 inside a 3e130 bracket is not reached in 500 steps
-        assert assert_same_search(lambda x: np.log1p(abs(x)), -1e130, 2e130) == 500
-
-    @pytest.mark.parametrize(
-        "bounds", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0), (2.0, 1.0)]
-    )
-    def test_bad_bounds_rejected(self, bounds):
-        with pytest.raises(ValueError):
-            _minimize_bounded(abs, *bounds)
-        with pytest.raises(ValueError):
-            minimize_scalar(abs, bounds=bounds, method="bounded")
+        # ln(0.2 / 1e-12) shrinks by the golden ratio below 1e-10 in 55 steps,
+        # whatever the objective
+        for objective in (lambda s: s, lambda s: -s, lambda s: np.cos(1e3 * s)):
+            calls = []
+            _minimize_sigma(lambda s: calls.append(s) or objective(s), 0.2)
+            assert len(calls) == 57
 
 
 class TestMassWindows:

@@ -703,6 +703,26 @@ class TestCLI:
         )
         assert message in err
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0.0,1\n0.1,2\ninf,3\n", "column t holds non-finite values"),
+            ("0.0,1\nnan,2\n0.2,3\n", "column t holds non-finite values"),
+            ("0.0,1\n0.1,inf\n0.2,3\n", "column grad_norm_sq holds non-finite values"),
+            ("0.0,1\n0.1,nan\n0.2,3\n", "column grad_norm_sq holds non-finite values"),
+            # sigma = T* - t_last needs the last sample to be the latest
+            ("0.0,1\n0.2,2\n0.1,3\n", "column t decreases"),
+        ],
+        ids=["t-inf", "t-nan", "grad-inf", "grad-nan", "t-decreasing"],
+    )
+    def test_fit_blowup_unfittable_record(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "trajectory.csv"
+        path.write_text("t,grad_norm_sq\n" + rows)
+        self.assert_clean_error(
+            ["fit-blowup", str(path), "--stop-reason", "grad_threshold"],
+            message, capsys,
+        )
+
     def test_fit_blowup_unknown_stop_reason(self, tmp_path, capsys):
         out = tmp_path / "bundle"
         run_scenario(ScenarioConfig.from_text(BASE), out_dir=out)
