@@ -71,7 +71,7 @@ def _cmd_ground_state(args) -> int:
 def _cmd_run(args) -> int:
     cfg = _load_cfg(args)
     result = harness.run_scenario(cfg, out_dir=args.out)
-    print(f"{cfg.scenario_id}: stop={result.traj.stop_reason.value} "
+    print(f"{cfg.scenario_id}: stop={result.traj.stop_trigger} "
           f"t_final={result.state.t:.6f} -> {result.out_dir}")
     return result.exit_code
 

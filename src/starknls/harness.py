@@ -12,7 +12,7 @@ A scenario run writes a deterministic artifact bundle:
     snapshots/*.dnls     binary field snapshots (optional)
 
 Exit codes: 0 global run reaching t_end, 2 blow-up stop (an expected outcome,
-not a failure), 1 error (divergence or resolution loss).
+not a failure), 1 error (divergence or step collapse).
 """
 
 from __future__ import annotations
@@ -343,9 +343,9 @@ def a_star_bisection(
 
 def _terminal_field(cfg: ScenarioConfig) -> Field:
     final, traj = _execute(cfg)
-    if traj.blew_up or traj.stop_reason is not StopReason.T_END:
+    if traj.stop_reason is not StopReason.T_END:
         raise StarkNLSError(
-            f"convergence study aborted: run stopped early ({traj.stop_reason.value})"
+            f"convergence study aborted: run stopped early ({traj.stop_trigger})"
         )
     return final.field
 

@@ -21,15 +21,13 @@ Two backends handle the uniform-field term:
   discontinuous there), which is monitored and reported as a warning.
 
 Step control: dt = min(dt0, cfl_const / |grad u|^2), the natural step for the
-self-similar collapse scale. A run stops early when the gradient norm exceeds
-grad_stop or when the top 1/8 of the spectrum carries more than
-spectral_fill_max of the mass (resolution exhausted).
+self-similar collapse scale. The stop table in evolve says when a run ends.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -140,23 +138,34 @@ class Snapshot:
 
 @dataclass
 class TrajectoryRecord:
-    """Sampled diagnostics, snapshots, and the stop descriptor of one run.
+    """Sampled diagnostics, snapshots, and the stop rule that ended one run.
 
     columns maps a name to one value per sample. In a live run the names are
     the keys of diagnostics.sample's row plus dt and spectral_fill: the
     trajectory.csv columns and lp_sum and stark_moment, which the file does
     not store. A bundle's record is
     TrajectoryRecord(columns=read_trajectory_csv(path), stop_reason=...).
+
+    stop_reason, stop_value and stop_threshold are the row of evolve's stop
+    table that fired; a bundle stores only the reason, so the two read nan.
     """
 
     columns: dict[str, np.ndarray] = dc_field(default_factory=dict)
     snapshots: list = dc_field(default_factory=list)
     stop_reason: StopReason = StopReason.T_END
+    stop_value: float = np.nan
+    stop_threshold: float = np.nan
     warnings: list = dc_field(default_factory=list)
 
     @property
     def blew_up(self) -> bool:
         return self.stop_reason in BLOWUP_STOPS
+
+    @property
+    def stop_trigger(self) -> str:
+        """The stop reason with the value that fired it and its threshold."""
+        return (f"{self.stop_reason.value} ({self.stop_value:.6g} "
+                f"against {self.stop_threshold:.6g})")
 
     def warn_once(self, code: str, t: float) -> None:
         if not any(c == code for c, _ in self.warnings):
@@ -360,13 +369,8 @@ def strang_step(s: SimState, dt: float) -> SimState:
         raise ValueError("dt must be positive")
     kernel = _Stepper(s)
     kernel.step(dt)
-    return SimState(
-        t=s.t + dt,
-        field=kernel.observed(s.t + dt)[0],
-        params=s.params,
-        backend=s.backend,
-        step_count=s.step_count + 1,
-    )
+    u = kernel.observed(s.t + dt)[0]
+    return replace(s, t=s.t + dt, field=u, step_count=s.step_count + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -383,16 +387,17 @@ def evolve(
     ctrl: StepController,
     observers: DiagnosticHooks | None = None,
 ) -> tuple[SimState, TrajectoryRecord]:
-    """Integrate until t_end or until a stop criterion fires.
+    """Integrate until a stop rule fires.
 
-    Adaptive step dt = min(dt0, cfl_const / |grad u|^2). Stops early with
-    GRAD_THRESHOLD when |grad u| exceeds ctrl.grad_stop, SPECTRAL_FILL when
-    the top band holds more than ctrl.spectral_fill_max of the mass,
-    DT_UNDERFLOW when dt falls below ctrl.dt_min, DIVERGED on non-finite
-    samples. The returned state, samples and snapshots hold the physical
-    field in both backends.
+    Before each step the rows (reason, measured value, threshold, fired) of
+    one stop table are read in order: DIVERGED, GRAD_THRESHOLD,
+    SPECTRAL_FILL, T_END, DT_UNDERFLOW. The first row that fires ends the
+    run and is stored on the record. DT_UNDERFLOW reads the adaptive step
+    min(dt0, cfl_const / |grad u|^2); the step is cut to end at t_end only
+    after the rules. The returned state, samples and snapshots hold the
+    physical field in both backends.
 
-    The stop checks and the step size read the kernel's spectrum, so an
+    The stop rules and the step size read the kernel's spectrum, so an
     unsampled step costs two transforms; a sample or snapshot costs one
     inverse transform more, and a sample in the accelerated frame one
     forward transform more (diagnostics.sample's own).
@@ -414,10 +419,9 @@ def evolve(
     dt_used = 0.0
     last_snap_g = None
 
-    def record(g_sq_phys, fill, final=False):
+    def record(g_phys, fill, final=False):
         """Sample and snapshot when due; returns the observed field or None."""
         nonlocal last_snap_g
-        g_phys = np.sqrt(g_sq_phys)
         due_sample = final or steps % hooks.sample_every_steps == 0
         due_snap = False
         if hooks.snapshots_enabled:
@@ -452,41 +456,34 @@ def evolve(
         return u_phys
 
     while True:
-        # stop checks on the current state
         g_sq_phys = kernel.physical_grad_sq(t)
+        g_phys = np.sqrt(g_sq_phys)
         fill = power_fill_fraction(kernel.power, grid)
-        if not np.isfinite(kernel.mass_sq) or not np.isfinite(kernel.grad_sq):
-            traj.stop_reason = StopReason.DIVERGED
-            break
-        if np.sqrt(g_sq_phys) > ctrl.grad_stop:
-            traj.stop_reason = StopReason.GRAD_THRESHOLD
-            break
-        if fill > ctrl.spectral_fill_max:
-            traj.stop_reason = StopReason.SPECTRAL_FILL
-            break
-        if t >= t_end - 1e-12 * max(1.0, abs(t_end)):
-            traj.stop_reason = StopReason.T_END
-            break
-        dt = min(ctrl.dt0, t_end - t)
+        norm_sum = kernel.mass_sq + kernel.grad_sq
+        t_stop = t_end - 1e-12 * max(1.0, abs(t_end))
+        dt = ctrl.dt0
         if g_sq_phys > 0:
             dt = min(dt, ctrl.cfl_const / g_sq_phys)
-        if dt < ctrl.dt_min:
-            traj.stop_reason = StopReason.DT_UNDERFLOW
+        stop_rules = (  # (reason, measured value, threshold, fired), in order
+            (StopReason.DIVERGED, norm_sum, np.inf, not norm_sum < np.inf),
+            (StopReason.GRAD_THRESHOLD, g_phys, ctrl.grad_stop, g_phys > ctrl.grad_stop),
+            (StopReason.SPECTRAL_FILL, fill, ctrl.spectral_fill_max,
+             fill > ctrl.spectral_fill_max),
+            (StopReason.T_END, t, t_stop, t >= t_stop),
+            (StopReason.DT_UNDERFLOW, dt, ctrl.dt_min, dt < ctrl.dt_min),
+        )
+        fired = next((rule[:3] for rule in stop_rules if rule[3]), None)
+        if fired:
+            traj.stop_reason, traj.stop_value, traj.stop_threshold = fired
             break
+        dt = min(dt, t_end - t)
 
-        record(g_sq_phys, fill)
+        record(g_phys, fill)
         kernel.step(dt)
         t += dt
         steps += 1
         dt_used = dt
 
-    final_field = record(g_sq_phys, fill, final=True)
+    final_field = record(g_phys, fill, final=True)
     traj.columns = {name: np.array([r[name] for r in rows]) for name in rows[0]}
-    final_state = SimState(
-        t=t,
-        field=final_field,
-        params=s.params,
-        backend=s.backend,
-        step_count=s.step_count + steps,
-    )
-    return final_state, traj
+    return replace(s, t=t, field=final_field, step_count=s.step_count + steps), traj

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -26,7 +27,7 @@ from starknls import (
 from starknls.cli import load_bundle_record, main as cli_main
 from starknls.config import RECIPES
 from starknls.diagnostics import detect_blowup_and_fit
-from starknls.errors import BracketError, ConfigError
+from starknls.errors import BracketError, ConfigError, StarkNLSError
 from starknls.storage import read_trajectory_csv, trajectory_header
 
 from conftest import child_env
@@ -482,6 +483,14 @@ class TestConvergenceStudy:
         # spectral convergence: at least one pre-saturation 10x drop
         assert max(rep["N_drops"]) >= 10.0
 
+    def test_early_stop_names_its_trigger(self):
+        cfg = ScenarioConfig.from_text(BASE).apply_overrides(
+            ["controller.grad_stop=0.1"]
+        )
+        match = r"stopped early \(grad_threshold \(0\.\d+ against 0\.1\)\)"
+        with pytest.raises(StarkNLSError, match=match):
+            convergence_study(cfg, dt_values=(2e-3, 1e-3), N_values=(128, 256))
+
 
 class TestSweep:
     def test_deterministic_under_parallelism(self, tmp_path):
@@ -631,6 +640,34 @@ class TestCLI:
         cfg_path.write_text(BASE)
         rc = cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 0
+
+    def test_run_verb_prints_the_stop_trigger(self, tmp_path, capsys):
+        text = BASE.replace("recipe = gaussian", "recipe = quadratic_phase_q")
+        text = text.replace("N = 512", "N = 8192").replace("L = 20", "L = 13")
+        text = text.replace("t_end = 0.3", "t_end = 5.0")
+        text = text.replace("a = 0.1", "a = 0.01")
+        cfg_path = tmp_path / "blowup.cfg"
+        cfg_path.write_text(with_initial(text, c=1.2))
+        rc = cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out"),
+                       "--set", "controller.grad_stop=100"])
+        out = capsys.readouterr().out
+        trigger = re.search(r"stop=grad_threshold \((\S+) against 100\) ", out)
+        assert rc == 2 and trigger, out
+        assert float(trigger.group(1)) > 100
+
+    def test_run_verb_last_step_below_dt_min_reaches_t_end(self, tmp_path, capsys):
+        # the step cut to end at t_end = 0.0105 is 5e-4 < dt_min = 6e-4, but
+        # dt_min bounds only the adaptive step: the run is global
+        text = BASE.replace("t_end = 0.3", "t_end = 0.0105")
+        cfg_path = tmp_path / "cfg.cfg"
+        cfg_path.write_text(text.replace("dt0 = 1e-3", "dt0 = 1e-3\ndt_min = 6e-4"))
+        out = tmp_path / "out"
+        assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 0
+        assert "stop=t_end (0.0105 against 0.0105) t_final=0.010500" in (
+            capsys.readouterr().out
+        )
+        laws = {row[0]: float(row[1]) for row in read_csv_rows(out / "law_checks.csv")[1:]}
+        assert laws["mass_decay"] < 1e-12
 
     def test_run_verb_reports_config_errors(self, tmp_path):
         cfg_path = tmp_path / "bad.cfg"

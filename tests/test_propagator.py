@@ -6,6 +6,8 @@ for u0 = exp(-x^2 / (2 s0^2)), and exact exponential damping factors.
 """
 
 import ctypes
+import dataclasses
+import operator
 import platform
 import subprocess
 import sys
@@ -283,6 +285,17 @@ class TestEvolve:
         final, traj = evolve(state, 1.0, ctrl, DiagnosticHooks())
         assert traj.stop_reason is StopReason.DT_UNDERFLOW
 
+    def test_last_step_cut_below_dt_min_ends_at_t_end(self, grid_1d):
+        # ten steps of dt0 leave 5e-10 to t_end; the cut step that covers it
+        # is far below dt_min, but dt_min bounds only the adaptive step
+        x = grid_1d.axis_coordinates(0)
+        state = make_state(grid_1d, np.exp(-(x**2)).astype(complex))
+        ctrl = StepController(dt0=1e-3, dt_min=1e-6)
+        final, traj = evolve(state, 0.0100000005, ctrl, DiagnosticHooks())
+        assert traj.stop_reason is StopReason.T_END
+        assert final.step_count == 11
+        assert final.t == pytest.approx(0.0100000005, abs=1e-15)
+
     def test_requires_future_t_end(self, grid_1d):
         state = make_state(grid_1d, np.ones(grid_1d.shape, dtype=complex))
         with pytest.raises(ValueError):
@@ -334,6 +347,105 @@ def small_collapse_state(gs_1d, E=0.0):
 
     q = radial_interpolant(gs_1d)(np.abs(x))
     return make_state(grid, 1.2 * q * np.exp(-1j * x**2 / 4), a=0.01, E=(E,))
+
+
+def modulated_gaussian(grid, amplitude=1.0):
+    """amplitude exp(-x^2) carried at 0.9 of the Nyquist wavenumber: the top
+    1/8 of its spectrum holds 0.861 of the mass."""
+    x = grid.axis_coordinates(0)
+    return amplitude * np.exp(-(x**2) + 0.9j * np.pi / grid.dx[0] * x)
+
+
+STOP_ORDER = (
+    StopReason.DIVERGED,
+    StopReason.GRAD_THRESHOLD,
+    StopReason.SPECTRAL_FILL,
+    StopReason.T_END,
+    StopReason.DT_UNDERFLOW,
+)
+
+# the comparison by which each rule fires, value against threshold
+FIRES = {
+    StopReason.DIVERGED: lambda value, threshold: not value < threshold,
+    StopReason.GRAD_THRESHOLD: operator.gt,
+    StopReason.SPECTRAL_FILL: operator.gt,
+    StopReason.T_END: operator.ge,
+    StopReason.DT_UNDERFLOW: operator.lt,
+}
+
+
+class TestStopTable:
+    """Each rule of evolve's stop table fires by its own comparison and
+    records the value that fired it; the rules are read in one order."""
+
+    @pytest.fixture(scope="class")
+    def grid_512(self):
+        return GridSpec.create(1, 20.0, 512)
+
+    @staticmethod
+    def run_to_stop(reason, grid, gs_1d):
+        """A run that ends by reason, with the value and the threshold that
+        rule should record, read from the final sample."""
+        gauss = np.exp(-(grid.axis_coordinates(0) ** 2)).astype(complex)
+        state, t_end, ctrl = {  # a run that each rule ends
+            StopReason.DIVERGED: (make_state(grid, 1e160 * gauss), 5.0, StepController()),
+            StopReason.GRAD_THRESHOLD: (small_collapse_state(gs_1d), 5.0,
+                                        StepController(grad_stop=60.0)),
+            StopReason.SPECTRAL_FILL: (make_state(grid, modulated_gaussian(grid)), 5.0,
+                                       StepController(spectral_fill_max=0.5)),
+            StopReason.T_END: (make_state(grid, gauss), 0.01, StepController(dt0=1e-3)),
+            StopReason.DT_UNDERFLOW: (make_state(grid, gauss), 5.0,
+                                      StepController(cfl_const=1e-300, dt_min=1e-6)),
+        }[reason]
+        with np.errstate(over="ignore", invalid="ignore"):
+            final, traj = evolve(state, t_end, ctrl, DiagnosticHooks())
+        col = {name: values[-1] for name, values in traj.columns.items()}
+        expected = {
+            StopReason.DIVERGED: (col["mass_sq"] + col["grad_norm_sq"], np.inf),
+            StopReason.GRAD_THRESHOLD: (np.sqrt(col["grad_norm_sq"]), 60.0),
+            StopReason.SPECTRAL_FILL: (col["spectral_fill"], 0.5),
+            StopReason.T_END: (final.t, 0.01 - 1e-12),
+            StopReason.DT_UNDERFLOW: (1e-300 / col["grad_norm_sq"], 1e-6),
+        }[reason]
+        return traj, expected
+
+    @pytest.mark.parametrize("reason", STOP_ORDER, ids=lambda reason: reason.value)
+    def test_rule_records_its_trigger(self, reason, grid_512, gs_1d):
+        traj, (value, threshold) = self.run_to_stop(reason, grid_512, gs_1d)
+        assert traj.stop_reason is reason
+        assert FIRES[reason](traj.stop_value, traj.stop_threshold)
+        assert traj.stop_threshold == threshold
+        np.testing.assert_allclose(traj.stop_value, value, rtol=1e-12)
+        assert traj.stop_trigger.startswith(f"{reason.value} (")
+
+    @pytest.mark.parametrize("reason", [StopReason.DIVERGED, StopReason.SPECTRAL_FILL],
+                             ids=lambda reason: reason.value)
+    def test_fires_before_the_first_step(self, reason, grid_512, gs_1d):
+        traj, _ = self.run_to_stop(reason, grid_512, gs_1d)
+        assert len(traj.columns["t"]) == 1
+        if reason is StopReason.SPECTRAL_FILL:
+            assert traj.stop_value == pytest.approx(0.861, abs=1e-3)
+
+    @pytest.mark.parametrize("first", range(len(STOP_ORDER)),
+                             ids=lambda first: STOP_ORDER[first].value)
+    def test_earlier_row_wins(self, grid_512, first):
+        # at t = 1 every rule from STOP_ORDER[first] on fires before the
+        # first step and every earlier one does not: at amplitude 1e152
+        # |grad u|^2 overflows while mass_sq stays finite (1.3e304), and the
+        # top band holds 0.861 of the mass at either amplitude
+        amplitude = 1e152 if first == 0 else 1.0
+        state = dataclasses.replace(
+            make_state(grid_512, modulated_gaussian(grid_512, amplitude)), t=1.0
+        )
+        ctrl = StepController(
+            cfl_const=1e-300,  # dt = cfl / |grad u|^2 < dt_min
+            grad_stop=1.0 if first <= 1 else 1e3,  # |grad u| = 40.5
+            spectral_fill_max=0.5 if first <= 2 else 0.99,
+        )
+        t_end = 1.0 + 1e-13 if first <= 3 else 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, traj = evolve(state, t_end, ctrl, DiagnosticHooks())
+        assert traj.stop_reason is STOP_ORDER[first]
 
 
 class TestFusedKernel:
