@@ -12,8 +12,9 @@ Verbs:
     starknls sweep CONFIG --param a --values 0.01,0.1,1 [--parallel K] --out DIR
 
 The environment variable STARKNLS_OUTPUT_ROOT prefixes relative output
-directories. Exit codes for run: 0 global/success, 2 blow-up detected,
-1 error.
+directories. run and check-laws exit with the code of the run's outcome
+(propagator.EXIT_CODES: 0 global, 2 blowup, 1 error); sweep exits 1 when a
+member's outcome is error, else 0. Every verb exits 1 on an error it reports.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def _cmd_sweep(args) -> int:
     rows = harness.sweep(spec, cfg, args.out)
     for row in rows:
         print(f"{args.param}={row[args.param]}: {row['outcome']}")
-    return 0 if all(r["exit_code"] != 1 for r in rows) else 1
+    return 1 if any(r["outcome"] == "error" for r in rows) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

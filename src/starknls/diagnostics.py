@@ -61,15 +61,16 @@ class BlowupReport:
     log grad_sq over the collapse window. sqrt_rate_residual is the misfit of
     the self-similar rate gamma = 1/2, the law the loglog correction
     refines; it has the same two parameters (C, T*) as the loglog model.
+    A report without a fit reads nan in the fields it did not fit.
     """
 
     blew_up: bool
-    T_star_est: float
     stop_reason: str
-    rate_exponent: float
-    loglog_residual: float
-    power_residual: float
-    sqrt_rate_residual: float
+    T_star_est: float = np.nan
+    rate_exponent: float = np.nan
+    loglog_residual: float = np.nan
+    power_residual: float = np.nan
+    sqrt_rate_residual: float = np.nan
     fit_unreliable: bool = False
     window_points: int = 0
 
@@ -367,15 +368,7 @@ def detect_blowup_and_fit(traj) -> BlowupReport:
     that decreases, raises InsufficientDataError."""
     stop_name = traj.stop_reason.value
     if not traj.blew_up:
-        return BlowupReport(
-            blew_up=False,
-            T_star_est=np.nan,
-            stop_reason=stop_name,
-            rate_exponent=np.nan,
-            loglog_residual=np.nan,
-            power_residual=np.nan,
-            sqrt_rate_residual=np.nan,
-        )
+        return BlowupReport(blew_up=False, stop_reason=stop_name)
     for name in ("t", "grad_norm_sq"):
         if not np.all(np.isfinite(traj.columns[name])):
             raise InsufficientDataError(f"column {name} holds non-finite values")
@@ -392,15 +385,8 @@ def detect_blowup_and_fit(traj) -> BlowupReport:
     unreliable = npts < FIT_MIN_POINTS
     if npts < 4:
         return BlowupReport(
-            blew_up=True,
-            T_star_est=float(t[-1]),
-            stop_reason=stop_name,
-            rate_exponent=np.nan,
-            loglog_residual=np.nan,
-            power_residual=np.nan,
-            sqrt_rate_residual=np.nan,
-            fit_unreliable=True,
-            window_points=npts,
+            blew_up=True, stop_reason=stop_name, T_star_est=float(t[-1]),
+            fit_unreliable=True, window_points=npts,
         )
     tw = t[start:]
     gw = gnorm[start:]
@@ -475,20 +461,14 @@ class ConcentrationPoint:
     window_mass: float
 
 
-def default_window_rule(grad_norm: float, c: float = 1.0) -> float:
-    """w = c * grad_norm^(-1/2); then w * grad_norm -> infinity at collapse."""
-    return c * grad_norm**-0.5
-
-
-def concentration_series(traj, w_rule=None) -> list[ConcentrationPoint]:
-    """Sup-window mass at every stored snapshot with w from the window rule."""
-    if w_rule is None:
-        w_rule = default_window_rule
+def concentration_series(traj) -> list[ConcentrationPoint]:
+    """Sup-window mass at every stored snapshot in the window of radius
+    w = |grad u|^(-1/2); then w |grad u| -> infinity at collapse."""
     if not traj.snapshots:
         raise InsufficientDataError("trajectory carries no snapshots")
     out = []
     for snap in traj.snapshots:
-        w = w_rule(max(snap.grad_norm, 1e-30))
+        w = max(snap.grad_norm, 1e-30) ** -0.5
         mass, _ = sup_mass_in_window(snap.field, w)
         out.append(ConcentrationPoint(t=snap.t, w=w, window_mass=mass))
     return out

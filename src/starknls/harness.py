@@ -11,8 +11,9 @@ A scenario run writes a deterministic artifact bundle:
     plots/<name>.dat     two-column headered series for plotting
     snapshots/*.dnls     binary field snapshots (optional)
 
-Exit codes: 0 global run reaching t_end, 2 blow-up stop (an expected outcome,
-not a failure), 1 error (divergence or step collapse).
+Every verb reads a run's outcome (global, blowup or error) from its stop
+reason in propagator.OUTCOMES, and its exit code (0, 2 or 1) from
+propagator.EXIT_CODES. A blow-up is an expected outcome, not a failure.
 """
 
 from __future__ import annotations
@@ -28,14 +29,7 @@ from . import diagnostics
 from .config import ScenarioConfig
 from .errors import BracketError, ConfigError, StarkNLSError
 from .ground_state import threshold_mass
-from .propagator import (
-    BLOWUP_STOPS,
-    Backend,
-    SimState,
-    StopReason,
-    TrajectoryRecord,
-    evolve,
-)
+from .propagator import EXIT_CODES, Backend, SimState, TrajectoryRecord, evolve
 from .spectral import Field, l2_norm
 from .storage import (
     fmt_float,
@@ -76,12 +70,13 @@ def _execute(cfg: ScenarioConfig):
     return evolve(state, cfg.t_end, cfg.controller(), cfg.hooks())
 
 
-def _exit_code(stop: StopReason) -> int:
-    if stop is StopReason.T_END:
-        return 0
-    if stop in BLOWUP_STOPS:
-        return 2
-    return 1
+def _execute_expecting(cfg: ScenarioConfig, outcomes: tuple, study: str):
+    """_execute, raising a StarkNLSError that names the stop trigger when the
+    run's outcome is not one of outcomes."""
+    final, traj = _execute(cfg)
+    if traj.outcome not in outcomes:
+        raise StarkNLSError(f"{study} aborted: run stopped early ({traj.stop_trigger})")
+    return final, traj
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None, write=True) -> RunResult:
@@ -134,7 +129,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, write=True) -> RunResult:
         state=final,
         traj=traj,
         blowup=blowup,
-        exit_code=_exit_code(traj.stop_reason),
+        exit_code=EXIT_CODES[traj.outcome],
         summary=summary,
         law_checks=law_checks,
     )
@@ -226,9 +221,7 @@ def threshold_scan(cfg: ScenarioConfig, c_values) -> list[dict]:
         result = run_scenario(sub, write=False)
         row = {
             "c": float(c),
-            "outcome": "blowup" if result.traj.blew_up else (
-                "global" if result.exit_code == 0 else "inconclusive"
-            ),
+            "outcome": result.traj.outcome,
             "t_final": float(result.state.t),
             "notes": "",
         }
@@ -268,10 +261,6 @@ class BisectionResult:
     a_hi: float
     tested: list[tuple[float, bool]]  # (a, blew_up), in test order
 
-    @property
-    def bracket(self) -> tuple[float, float]:
-        return (self.a_lo, self.a_hi)
-
     def monotone_pattern(self) -> bool:
         """True when every tested a below the bracket blew up and every
         tested a above survived."""
@@ -295,7 +284,8 @@ def a_star_bisection(
 
     Classifies each damping value as blow-up (stop before t_cap) or survival
     (reaches t_cap), and bisects the bracket until its width is at most
-    ``resolution``. Requires E0(u0) < 0 and a sign change across the range.
+    ``resolution``. Requires E0(u0) < 0 and a sign change across the range; a
+    run whose outcome is error raises a StarkNLSError naming its stop trigger.
     """
     if not 0.0 <= a_lo < a_hi:
         raise BracketError(f"invalid range [{a_lo}, {a_hi}]")
@@ -312,7 +302,7 @@ def a_star_bisection(
         sub = cfg.apply_overrides(
             [f"physics.a={fmt_float(a)}", f"scenario.t_end={fmt_float(t_cap)}"]
         )
-        final, traj = _execute(sub)
+        traj = _execute_expecting(sub, ("global", "blowup"), f"bisection at a={a:g}")[1]
         blew = traj.blew_up
         tested.append((a, blew))
         return blew
@@ -342,12 +332,7 @@ def a_star_bisection(
 
 
 def _terminal_field(cfg: ScenarioConfig) -> Field:
-    final, traj = _execute(cfg)
-    if traj.stop_reason is not StopReason.T_END:
-        raise StarkNLSError(
-            f"convergence study aborted: run stopped early ({traj.stop_trigger})"
-        )
-    return final.field
+    return _execute_expecting(cfg, ("global",), "convergence study")[0].field
 
 
 def _fixed_dt_overrides(dt: float) -> list[str]:
@@ -450,7 +435,7 @@ def _sweep_member(cfg: ScenarioConfig, parameter: str, out_root: Path, indexed):
     return {
         "index": i,
         parameter: value,
-        "outcome": {0: "global", 2: "blowup"}.get(result.exit_code, "error"),
+        "outcome": result.traj.outcome,
         "stop_reason": result.traj.stop_reason.value,
         "t_final": float(result.state.t),
         "exit_code": result.exit_code,
@@ -500,6 +485,6 @@ def sweep(spec: SweepSpec, cfg: ScenarioConfig, out_root) -> list[dict]:
         except failures as exc:
             rows.append({"index": i, spec.parameter: value, "outcome": "error",
                          "stop_reason": f"exception: {exc}",
-                         "t_final": float("nan"), "exit_code": 1})
+                         "t_final": float("nan"), "exit_code": EXIT_CODES["error"]})
     write_report_csv(out_root / "sweep_summary.csv", rows)
     return rows

@@ -59,7 +59,17 @@ class StopReason(enum.Enum):
     DIVERGED = "diverged"
 
 
-BLOWUP_STOPS = frozenset({StopReason.GRAD_THRESHOLD, StopReason.SPECTRAL_FILL})
+# What each stop says about the run, and the exit code of each outcome. Every
+# verb reads these two tables; a new StopReason is one row in each of them and
+# one row of the stop table in evolve.
+OUTCOMES = {
+    StopReason.T_END: "global",
+    StopReason.GRAD_THRESHOLD: "blowup",
+    StopReason.SPECTRAL_FILL: "blowup",
+    StopReason.DT_UNDERFLOW: "error",
+    StopReason.DIVERGED: "error",
+}
+EXIT_CODES = {"global": 0, "blowup": 2, "error": 1}
 
 
 @dataclass(frozen=True)
@@ -158,8 +168,13 @@ class TrajectoryRecord:
     warnings: list = dc_field(default_factory=list)
 
     @property
+    def outcome(self) -> str:
+        """global, blowup or error: the OUTCOMES row of the stop reason."""
+        return OUTCOMES[self.stop_reason]
+
+    @property
     def blew_up(self) -> bool:
-        return self.stop_reason in BLOWUP_STOPS
+        return self.outcome == "blowup"
 
     @property
     def stop_trigger(self) -> str:

@@ -130,6 +130,25 @@ def with_initial(text, **keys):
                 lines.append(f"{k} = {v}")
     return "\n".join(lines) + "\n"
 
+
+def collapse_cfg(*overrides):
+    """Negative-energy quadratic-phase data (c = 1.2, a = 0.1) that collapses
+    to grad_stop = 60 undamped and is arrested at a = 2."""
+    text = BASE.replace("recipe = gaussian", "recipe = quadratic_phase_q")
+    text = text.replace("N = 512", "N = 4096").replace("L = 20", "L = 13")
+    text = text.replace("t_end = 0.3", "t_end = 3.0")
+    cfg = ScenarioConfig.from_text(with_initial(text, c=1.2, b=1))
+    return cfg.apply_overrides(
+        ["controller.grad_stop=60", "observers.sample_every_steps=20",
+         "controller.dt0=2e-3", *overrides]
+    )
+
+
+# collapse_cfg's adaptive step falls below this dt_min at |grad u| of about 47,
+# before grad_stop: the run ends dt_underflow, whose outcome is error
+UNDERFLOWING_DT_MIN = "controller.dt_min=1e-4"
+
+
 class TestConfigGrammar:
     def test_parses_and_validates(self):
         cfg = ScenarioConfig.from_text(BASE)
@@ -416,6 +435,17 @@ class TestThresholdScan:
         assert rows[0]["outcome"] == "blowup"
         assert rows[0]["T_star_est"] <= rows[0]["t_star_bound"] + 0.05
 
+    def test_dt_underflow_member_reads_error_as_in_sweep(self, tmp_path):
+        cfg = collapse_cfg(UNDERFLOWING_DT_MIN)
+        rows = threshold_scan(cfg, [1.2])
+        members = sweep(SweepSpec(parameter="c", values=("1.2",)), cfg, tmp_path)
+        assert rows[0]["outcome"] == members[0]["outcome"] == "error"
+        assert rows[0]["t_final"] == members[0]["t_final"] < 3.0
+        assert members[0]["stop_reason"] == "dt_underflow"
+        assert members[0]["exit_code"] == 1
+        table = read_csv_rows(tmp_path / "sweep_summary.csv")
+        assert table[1][table[0].index("outcome")] == "error"
+
 
 class TestMonotonicityMarking:
     def test_violation_flagged(self):
@@ -443,18 +473,8 @@ class TestMonotonicityMarking:
 
 
 class TestBisection:
-    def _cfg(self):
-        text = BASE.replace("recipe = gaussian", "recipe = quadratic_phase_q")
-        text = text.replace("N = 512", "N = 4096").replace("L = 20", "L = 13")
-        text = text.replace("t_end = 0.3", "t_end = 3.0")
-        cfg = ScenarioConfig.from_text(with_initial(text, c=1.2, b=1))
-        return cfg.apply_overrides(
-            ["controller.grad_stop=60", "observers.sample_every_steps=20",
-             "controller.dt0=2e-3"]
-        )
-
     def test_returns_bracket(self):
-        result = a_star_bisection(self._cfg(), 0.0, 2.0, t_cap=3.0, resolution=0.5)
+        result = a_star_bisection(collapse_cfg(), 0.0, 2.0, t_cap=3.0, resolution=0.5)
         assert result.a_lo < result.a_hi
         assert result.monotone_pattern()
         blew = dict(result.tested)
@@ -468,7 +488,14 @@ class TestBisection:
 
     def test_bad_range_rejected(self):
         with pytest.raises(BracketError):
-            a_star_bisection(self._cfg(), 1.0, 0.5, t_cap=1.0)
+            a_star_bisection(collapse_cfg(), 1.0, 0.5, t_cap=1.0)
+
+    def test_error_outcome_raises_naming_its_trigger(self):
+        # a step collapse is neither blow-up nor survival
+        match = r"bisection at a=0 aborted: .*\(dt_underflow \(\S+ against 0\.0001\)\)"
+        with pytest.raises(StarkNLSError, match=match) as info:
+            a_star_bisection(collapse_cfg(UNDERFLOWING_DT_MIN), 0.0, 2.0, t_cap=3.0)
+        assert not isinstance(info.value, BracketError)
 
 
 class TestConvergenceStudy:

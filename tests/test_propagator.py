@@ -40,7 +40,13 @@ from starknls import (
 )
 
 from starknls import spectral
-from starknls.propagator import _kinetic_multiplier, _Stepper
+from starknls.propagator import (
+    EXIT_CODES,
+    OUTCOMES,
+    TrajectoryRecord,
+    _kinetic_multiplier,
+    _Stepper,
+)
 
 from conftest import COMPLEX_FFTS, child_env, random_band_limited_field
 
@@ -446,6 +452,28 @@ class TestStopTable:
         with np.errstate(over="ignore", invalid="ignore"):
             _, traj = evolve(state, t_end, ctrl, DiagnosticHooks())
         assert traj.stop_reason is STOP_ORDER[first]
+
+
+class TestOutcomeTable:
+    """One table says what each stop means for the run, one which exit code
+    each meaning gets."""
+
+    def test_every_stop_has_an_outcome_and_every_outcome_an_exit_code(self):
+        assert set(OUTCOMES) == set(StopReason)
+        assert set(OUTCOMES.values()) == set(EXIT_CODES)
+        assert EXIT_CODES == {"global": 0, "blowup": 2, "error": 1}
+
+    @pytest.mark.parametrize("reason, outcome", [
+        (StopReason.T_END, "global"),
+        (StopReason.GRAD_THRESHOLD, "blowup"),
+        (StopReason.SPECTRAL_FILL, "blowup"),
+        (StopReason.DT_UNDERFLOW, "error"),
+        (StopReason.DIVERGED, "error"),
+    ], ids=lambda value: getattr(value, "value", value))
+    def test_record_reads_its_outcome_from_the_table(self, reason, outcome):
+        traj = TrajectoryRecord(stop_reason=reason)
+        assert traj.outcome == OUTCOMES[reason] == outcome
+        assert traj.blew_up is (outcome == "blowup")
 
 
 class TestFusedKernel:
