@@ -60,8 +60,8 @@ class StopReason(enum.Enum):
 
 
 # What each stop says about the run, and the exit code of each outcome. Every
-# verb reads these two tables; a new StopReason is one row in each of them and
-# one row of the stop table in evolve.
+# verb reads these two tables. A new StopReason is one row in OUTCOMES, one in
+# EXIT_CODES if its outcome is new, and one row of the stop table in evolve.
 OUTCOMES = {
     StopReason.T_END: "global",
     StopReason.GRAD_THRESHOLD: "blowup",
