@@ -13,8 +13,9 @@ Verbs:
 
 The environment variable STARKNLS_OUTPUT_ROOT prefixes relative output
 directories. run and check-laws exit with the code of the run's outcome
-(propagator.EXIT_CODES: 0 global, 2 blowup, 1 error); sweep exits 1 when a
-member's outcome is error, else 0. Every verb exits 1 on an error it reports.
+(propagator.EXIT_CODES: 0 global, 2 blowup, 1 error); sweep and
+threshold-scan exit 1 when a member's outcome is error, else 0. Every verb
+exits 1 on an error it reports.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import diagnostics, harness
 from .config import ScenarioConfig
 from .errors import StarkNLSError
 from .ground_state import ground_state_energy, petviashvili
-from .propagator import StopReason, TrajectoryRecord
+from .propagator import EXIT_CODES, StopReason, TrajectoryRecord
 from .spectral import GridSpec
 from .storage import (
     fmt_float,
@@ -153,7 +154,7 @@ def _cmd_threshold_scan(args) -> int:
     if args.out:
         keys = ["c", "outcome", "t_final", "notes"]
         write_report_csv(Path(args.out), [{k: r.get(k, "") for k in keys} for r in rows])
-    return 0
+    return _members_exit_code(rows)
 
 
 def _cmd_convergence(args) -> int:
@@ -177,7 +178,12 @@ def _cmd_sweep(args) -> int:
     rows = harness.sweep(spec, cfg, args.out)
     for row in rows:
         print(f"{args.param}={row[args.param]}: {row['outcome']}")
-    return 1 if any(r["outcome"] == "error" for r in rows) else 0
+    return _members_exit_code(rows)
+
+
+def _members_exit_code(rows) -> int:
+    """The error exit code when any member's outcome is error, else 0."""
+    return EXIT_CODES["error"] if any(r["outcome"] == "error" for r in rows) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,7 +26,9 @@ self-similar collapse scale. The stop table in evolve says when a run ends.
 
 from __future__ import annotations
 
+import contextvars
 import enum
+import os
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -300,10 +302,7 @@ class _Stepper:
         self._half_dt = None
         self._owed = False                    # fh still owes self._half
         self.power = np.abs(self.fh) ** 2
-        # buffers the observers overwrite instead of allocating per sample:
-        # |u|^2 of the observed field, and every weighted sum's products
-        self.density = np.empty(grid.shape)
-        self.scratch = np.empty(grid.shape)
+        self.scratch = np.empty(grid.shape)  # every weighted sum's products
         self.mass_sq = float(np.sum(self.power) * self.vol)
         self.grad_sq = _weighted_sum(self.k_sq, self.power, self.scratch) * self.vol
 
@@ -346,15 +345,14 @@ class _Stepper:
             self.mass_sq = 0.0
         self.grad_sq = _weighted_sum(self.k_sq, power, self.scratch) * self.vol
 
-    def observed(self, t: float) -> tuple[Field, np.ndarray | None]:
-        """The physical field at time t (new samples) and its power spectrum:
-        the kernel's, or None in the accelerated frame, where the kernel's
-        power belongs to the frame function."""
-        spec = self.settle()
+    def physical_field(self, t: float, spec: np.ndarray) -> Field:
+        """The physical field at time t (new samples) from a settled
+        spectrum, which is left unmodified. Reads only the kernel's
+        constants, so it may run next to step on a copy of fh."""
         if self.frame:
             u = ah_forward_spectrum(spec, self.grid, t, self.params.E, self.e_dot_x)
-            return Field(self.grid, u), None
-        return Field(self.grid, np.fft.ifftn(spec, norm="ortho")), self.power
+            return Field(self.grid, u)
+        return Field(self.grid, np.fft.ifftn(spec, norm="ortho"))
 
     def physical_grad_sq(self, t: float) -> float:
         """|grad u|^2 of the physical field at time t from the kernel's sums.
@@ -384,7 +382,7 @@ def strang_step(s: SimState, dt: float) -> SimState:
         raise ValueError("dt must be positive")
     kernel = _Stepper(s)
     kernel.step(dt)
-    u = kernel.observed(s.t + dt)[0]
+    u = kernel.physical_field(s.t + dt, kernel.settle())
     return replace(s, t=s.t + dt, field=u, step_count=s.step_count + 1)
 
 
@@ -394,6 +392,19 @@ def strang_step(s: SimState, dt: float) -> SimState:
 
 _BOUNDARY_SEAM_LIMIT = 1e-8   # direct-backend seam contamination threshold
 _BOUNDARY_SOFT_LIMIT = 1e-10  # general interior-support advisory
+# From this grid size up the observer job runs next to the next step; below
+# it, handing the GIL between two threads costs more than the overlapped
+# transform saves (the crossover is measured in docs/DECISIONS.md).
+_OVERLAP_MIN_POINTS = 2**15
+
+
+def _overlaps_observers(grid) -> bool:
+    """Whether evolve runs its observer jobs on a worker thread: on grids of
+    at least _OVERLAP_MIN_POINTS points, in a process that may run on two or
+    more CPUs (its affinity mask, which taskset narrows, where there is one)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return grid.num_points >= _OVERLAP_MIN_POINTS and cpus >= 2
 
 
 def evolve(
@@ -416,6 +427,12 @@ def evolve(
     unsampled step costs two transforms; a sample or snapshot costs one
     inverse transform more, and a sample in the accelerated frame one
     forward transform more (diagnostics.sample's own).
+
+    Samples and snapshots are one observer job each, on private copies of
+    the kernel's state. On large grids (_overlaps_observers) the job runs on
+    one worker thread while the next steps run; at most one job is in
+    flight, and its results are stored in sample order. The thread lives
+    only inside this call. Either way the record holds the same bits.
     """
     if not (t_end > s.t and np.isfinite(t_end)):
         raise ValueError(
@@ -433,10 +450,47 @@ def evolve(
     steps = 0
     dt_used = 0.0
     last_snap_g = None
+    # the observer job's own buffers, overwritten instead of allocated per
+    # sample: |u|^2 of the observed field, and every weighted sum's products
+    density, scratch = np.empty(grid.shape), np.empty(grid.shape)
+    pool = None
+    pending = None  # the last job (its result, or its future) and its context
+
+    def observe(t, spec, power, due_sample):
+        """The observer job: the physical field at t and, when a sample is
+        due, its trajectory row and boundary-mass fraction. Reads only its
+        arguments, the kernel's constants and the job's buffers."""
+        u_phys = kernel.physical_field(t, spec)
+        if not due_sample:
+            return u_phys, None, 0.0
+        np.square(np.abs(u_phys.data, out=density), out=density)
+        row = diagnostics.sample(
+            u_phys, t, s.params, power=power, density=density, scratch=scratch
+        )
+        return u_phys, row, boundary_mass_fraction(u_phys, density)
+
+    def collect():
+        """Store the last job's row, warning and snapshot; returns its field."""
+        nonlocal pending
+        if pending is None:
+            return None
+        job, (t, dt, fill, g_phys, due_snap) = pending
+        pending = None
+        u_phys, row, bmass = job.result() if pool else job
+        if row is not None:
+            rows.append(dict(row, dt=dt, spectral_fill=fill))
+            if bmass > _BOUNDARY_SEAM_LIMIT:
+                traj.warn_once("seam_contamination", t)
+            elif bmass > _BOUNDARY_SOFT_LIMIT:
+                traj.warn_once("boundary_mass", t)
+        if due_snap:
+            traj.snapshots.append(Snapshot(t=t, field=u_phys, grad_norm=g_phys))
+        return u_phys
 
     def record(g_phys, fill, final=False):
-        """Sample and snapshot when due; returns the observed field or None."""
-        nonlocal last_snap_g
+        """Start the observer job when a sample or snapshot is due, after
+        storing the one before it."""
+        nonlocal last_snap_g, pending
         due_sample = final or steps % hooks.sample_every_steps == 0
         due_snap = False
         if hooks.snapshots_enabled:
@@ -450,55 +504,62 @@ def evolve(
             ):
                 due_snap = True
         if not (due_sample or due_snap):
-            return None
-        u_phys, power = kernel.observed(t)
-        if due_sample:
-            density = np.abs(u_phys.data, out=kernel.density)
-            np.square(density, out=density)
-            row = diagnostics.sample(
-                u_phys, t, s.params, power=power, density=density,
-                scratch=kernel.scratch,
-            )
-            rows.append(dict(row, dt=dt_used, spectral_fill=fill))
-            bmass = boundary_mass_fraction(u_phys, density)
-            if bmass > _BOUNDARY_SEAM_LIMIT:
-                traj.warn_once("seam_contamination", t)
-            elif bmass > _BOUNDARY_SOFT_LIMIT:
-                traj.warn_once("boundary_mass", t)
+            return
         if due_snap:
-            traj.snapshots.append(Snapshot(t=t, field=u_phys, grad_norm=g_phys))
             last_snap_g = g_phys
-        return u_phys
+        collect()
+        # in the accelerated frame the kernel's power belongs to the frame
+        # function, and sample takes the physical field's own
+        spec, power = kernel.settle(), None if kernel.frame else kernel.power
+        if pool is None:
+            job = observe(t, spec, power, due_sample)
+        else:
+            # copies, because the next step overwrites fh and power; the
+            # caller's context, so that its np.errstate holds on the worker
+            if power is not None:
+                power = power.copy()
+            job = pool.submit(contextvars.copy_context().run, observe, t,
+                              spec.copy(), power, due_sample)
+        pending = job, (t, dt_used, fill, g_phys, due_snap)
 
-    while True:
-        g_sq_phys = kernel.physical_grad_sq(t)
-        g_phys = np.sqrt(g_sq_phys)
-        fill = power_fill_fraction(kernel.power, grid)
-        norm_sum = kernel.mass_sq + kernel.grad_sq
-        t_stop = t_end - 1e-12 * max(1.0, abs(t_end))
-        dt = ctrl.dt0
-        if g_sq_phys > 0:
-            dt = min(dt, ctrl.cfl_const / g_sq_phys)
-        stop_rules = (  # (reason, measured value, threshold, fired), in order
-            (StopReason.DIVERGED, norm_sum, np.inf, not norm_sum < np.inf),
-            (StopReason.GRAD_THRESHOLD, g_phys, ctrl.grad_stop, g_phys > ctrl.grad_stop),
-            (StopReason.SPECTRAL_FILL, fill, ctrl.spectral_fill_max,
-             fill > ctrl.spectral_fill_max),
-            (StopReason.T_END, t, t_stop, t >= t_stop),
-            (StopReason.DT_UNDERFLOW, dt, ctrl.dt_min, dt < ctrl.dt_min),
-        )
-        fired = next((rule[:3] for rule in stop_rules if rule[3]), None)
-        if fired:
-            traj.stop_reason, traj.stop_value, traj.stop_threshold = fired
-            break
-        dt = min(dt, t_end - t)
+    if _overlaps_observers(grid):
+        from concurrent.futures import ThreadPoolExecutor
 
-        record(g_phys, fill)
-        kernel.step(dt)
-        t += dt
-        steps += 1
-        dt_used = dt
+        pool = ThreadPoolExecutor(1, thread_name_prefix="starknls-observer")
+    try:
+        while True:
+            g_sq_phys = kernel.physical_grad_sq(t)
+            g_phys = np.sqrt(g_sq_phys)
+            fill = power_fill_fraction(kernel.power, grid)
+            norm_sum = kernel.mass_sq + kernel.grad_sq
+            t_stop = t_end - 1e-12 * max(1.0, abs(t_end))
+            dt = ctrl.dt0
+            if g_sq_phys > 0:
+                dt = min(dt, ctrl.cfl_const / g_sq_phys)
+            stop_rules = (  # (reason, measured value, threshold, fired), in order
+                (StopReason.DIVERGED, norm_sum, np.inf, not norm_sum < np.inf),
+                (StopReason.GRAD_THRESHOLD, g_phys, ctrl.grad_stop, g_phys > ctrl.grad_stop),
+                (StopReason.SPECTRAL_FILL, fill, ctrl.spectral_fill_max,
+                 fill > ctrl.spectral_fill_max),
+                (StopReason.T_END, t, t_stop, t >= t_stop),
+                (StopReason.DT_UNDERFLOW, dt, ctrl.dt_min, dt < ctrl.dt_min),
+            )
+            fired = next((rule[:3] for rule in stop_rules if rule[3]), None)
+            if fired:
+                traj.stop_reason, traj.stop_value, traj.stop_threshold = fired
+                break
+            dt = min(dt, t_end - t)
 
-    final_field = record(g_phys, fill, final=True)
+            record(g_phys, fill)
+            kernel.step(dt)
+            t += dt
+            steps += 1
+            dt_used = dt
+
+        record(g_phys, fill, final=True)
+        final_field = collect()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)  # joins the worker thread
     traj.columns = {name: np.array([r[name] for r in rows]) for name in rows[0]}
     return replace(s, t=t, field=final_field, step_count=s.step_count + steps), traj

@@ -1,4 +1,6 @@
 import os
+import threading
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -52,16 +54,35 @@ REAL_FFTS = ("rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
 COMPLEX_FFTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
 
 
+class TransformCalls(dict):
+    """Calls per numpy.fft transform by name, on every thread; on_thread gives
+    the calls one thread made."""
+
+    def __init__(self):
+        super().__init__(dict.fromkeys(REAL_FFTS + COMPLEX_FFTS, 0))
+        self._lock = threading.Lock()
+        self._threads = defaultdict(Counter)
+
+    def count(self, name):
+        with self._lock:
+            self[name] += 1
+            self._threads[threading.get_ident()][name] += 1
+
+    def on_thread(self, ident) -> Counter:
+        with self._lock:
+            return Counter(self._threads[ident])
+
+
 @pytest.fixture
 def fft_calls(monkeypatch):
     """Calls per numpy.fft transform made while the test runs, by name."""
-    calls = dict.fromkeys(REAL_FFTS + COMPLEX_FFTS, 0)
+    calls = TransformCalls()
 
     def counted(name):
         fn = getattr(np.fft, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls.count(name)
             return fn(*args, **kwargs)
 
         return wrapper

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from concurrent.futures import Future
 
 import numpy as np
@@ -28,6 +29,8 @@ from starknls.cli import load_bundle_record, main as cli_main
 from starknls.config import RECIPES
 from starknls.diagnostics import detect_blowup_and_fit
 from starknls.errors import BracketError, ConfigError, StarkNLSError
+from starknls import propagator
+from starknls.propagator import EXIT_CODES
 from starknls.storage import read_trajectory_csv, trajectory_header
 
 from conftest import child_env
@@ -131,17 +134,23 @@ def with_initial(text, **keys):
     return "\n".join(lines) + "\n"
 
 
-def collapse_cfg(*overrides):
-    """Negative-energy quadratic-phase data (c = 1.2, a = 0.1) that collapses
-    to grad_stop = 60 undamped and is arrested at a = 2."""
+def collapse_text():
+    """The scenario file of collapse_cfg, before COLLAPSE_OVERRIDES."""
     text = BASE.replace("recipe = gaussian", "recipe = quadratic_phase_q")
     text = text.replace("N = 512", "N = 4096").replace("L = 20", "L = 13")
     text = text.replace("t_end = 0.3", "t_end = 3.0")
-    cfg = ScenarioConfig.from_text(with_initial(text, c=1.2, b=1))
-    return cfg.apply_overrides(
-        ["controller.grad_stop=60", "observers.sample_every_steps=20",
-         "controller.dt0=2e-3", *overrides]
-    )
+    return with_initial(text, c=1.2, b=1)
+
+
+COLLAPSE_OVERRIDES = ("controller.grad_stop=60", "observers.sample_every_steps=20",
+                      "controller.dt0=2e-3")
+
+
+def collapse_cfg(*overrides):
+    """Negative-energy quadratic-phase data (c = 1.2, a = 0.1) that collapses
+    to grad_stop = 60 undamped and is arrested at a = 2."""
+    cfg = ScenarioConfig.from_text(collapse_text())
+    return cfg.apply_overrides([*COLLAPSE_OVERRIDES, *overrides])
 
 
 # collapse_cfg's adaptive step falls below this dt_min at |grad u| of about 47,
@@ -540,6 +549,29 @@ class TestSweep:
                 tmp_path / "parallel" / sub / "trajectory.csv"
             ).read_bytes()
 
+    def test_parallel_sweep_after_an_overlapped_run(self, tmp_path, monkeypatch):
+        # the observer thread of an overlapped run is gone before the sweep
+        # forks its workers, whose members overlap too
+        monkeypatch.setattr(propagator, "_OVERLAP_MIN_POINTS", 0)
+        cfg = ScenarioConfig.from_text(BASE)
+        threads = threading.active_count()
+        run_scenario(cfg, out_dir=tmp_path / "run")
+        assert threading.active_count() == threads
+        values = ("0.01", "0.1", "1.0")
+        rows = sweep(SweepSpec(parameter="a", values=values, parallelism=2),
+                     cfg, tmp_path / "parallel")
+        monkeypatch.undo()
+        assert rows == sweep(SweepSpec(parameter="a", values=values, parallelism=1),
+                             cfg, tmp_path / "serial")
+        files = sorted(p.relative_to(tmp_path / "serial")
+                       for p in (tmp_path / "serial").rglob("*") if p.is_file())
+        assert len(files) > 10 and files == sorted(
+            p.relative_to(tmp_path / "parallel")
+            for p in (tmp_path / "parallel").rglob("*") if p.is_file())
+        for name in files:
+            assert (tmp_path / "parallel" / name).read_bytes() == (
+                tmp_path / "serial" / name).read_bytes(), name
+
     def test_empty_values_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             SweepSpec(parameter="a", values=())
@@ -896,6 +928,17 @@ class TestCLI:
         header = (tmp_path / "scan.csv").read_text().splitlines()[0]
         assert header == "c,outcome,t_final,notes"
 
+    def test_scan_exits_like_sweep_on_an_error_member(self, tmp_path, capsys):
+        cfg_path = tmp_path / "collapse.cfg"
+        cfg_path.write_text(collapse_text())
+        sets = [arg for o in (*COLLAPSE_OVERRIDES, UNDERFLOWING_DT_MIN)
+                for arg in ("--set", o)]
+        scan = cli_main(["threshold-scan", str(cfg_path), "--c-values", "1.2", *sets])
+        swept = cli_main(["sweep", str(cfg_path), "--param", "c", "--values", "1.2",
+                          "--out", str(tmp_path / "sw"), *sets])
+        assert capsys.readouterr().out.splitlines() == ["c=1.2: error"] * 2
+        assert scan == swept == EXIT_CODES["error"]
+
     def test_convergence_verb(self, tmp_path, capsys):
         cfg_path = tmp_path / "conv.cfg"
         cfg_path.write_text(BASE.replace("t_end = 0.3", "t_end = 0.1"))
@@ -925,10 +968,11 @@ class TestCLI:
         assert "bracket" in out and "monotone outcome pattern: True" in out
 
     def test_import_loads_no_scipy(self):
-        # nor the process pool of a parallel sweep, which imports it lazily
+        # nor concurrent.futures, which a parallel sweep's process pool and
+        # evolve's observer thread import where they start
         code = ("import sys, starknls, starknls.cli; "
                 "print([m for m in sys.modules if m.split('.')[0] in "
-                "('scipy', 'multiprocessing') or m == 'concurrent.futures.process'])")
+                "('scipy', 'multiprocessing', 'concurrent')])")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr

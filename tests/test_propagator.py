@@ -12,8 +12,10 @@ import platform
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ from starknls import (
     strang_step,
 )
 
-from starknls import spectral
+from starknls import propagator, spectral
 from starknls.propagator import (
     EXIT_CODES,
     OUTCOMES,
@@ -355,6 +357,41 @@ def small_collapse_state(gs_1d, E=0.0):
     return make_state(grid, 1.2 * q * np.exp(-1j * x**2 / 4), a=0.01, E=(E,))
 
 
+def use_path(monkeypatch, path):
+    """Make evolve run its observer jobs inline, or on its worker thread
+    whatever the grid size."""
+    overlap = path == "overlap"
+    monkeypatch.setattr(propagator, "_OVERLAP_MIN_POINTS", 0 if overlap else sys.maxsize)
+    if overlap and not propagator._overlaps_observers(GridSpec.create(1, 1.0, 2)):
+        pytest.skip("this process may run on one CPU only")
+
+
+@pytest.fixture(params=["inline", "overlap"])
+def observer_path(request, monkeypatch):
+    use_path(monkeypatch, request.param)
+    return request.param
+
+
+def run_on_path(observer_path, *args):
+    """evolve(*args), checking that every sample ran on the calling thread
+    (inline) or on one other thread (overlap)."""
+    inner, threads = diagnostics.sample, set()
+
+    def sample(*a, **kw):
+        threads.add(threading.get_ident())
+        return inner(*a, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagnostics, "sample", sample)
+        result = evolve(*args)
+    here = threading.get_ident()
+    if observer_path == "inline":
+        assert threads == {here}
+    else:
+        assert len(threads) == 1 and here not in threads
+    return result
+
+
 def modulated_gaussian(grid, amplitude=1.0):
     """amplitude exp(-x^2) carried at 0.9 of the Nyquist wavenumber: the top
     1/8 of its spectrum holds 0.861 of the mass."""
@@ -493,43 +530,47 @@ class TestFusedKernel:
         assert rel_l2(f7.field, f1.field.data) < 1e-12
 
     @staticmethod
-    def count_transforms(state, fft_calls, monkeypatch):
+    def count_transforms(state, fft_calls, monkeypatch, observer_path):
         """Steps, samples, complex transforms in all and per sample call of
-        one sampled run."""
+        one sampled run. A sample call is credited with the transforms made
+        on its own thread while it ran, so the steps that run next to it on
+        the overlapped path are not."""
         real_sample = diagnostics.sample
         in_sample = []
 
-        def complex_calls():
-            return sum(fft_calls[k] for k in COMPLEX_FFTS)
+        def complex_calls(thread=None):
+            counts = fft_calls if thread is None else fft_calls.on_thread(thread)
+            return sum(counts[k] for k in COMPLEX_FFTS)
 
         def counted_sample(*args, **kwargs):
-            before = complex_calls()
+            before = complex_calls(threading.get_ident())
             out = real_sample(*args, **kwargs)
-            in_sample.append(complex_calls() - before)
+            in_sample.append(complex_calls(threading.get_ident()) - before)
             return out
 
         monkeypatch.setattr(diagnostics, "sample", counted_sample)
-        final, traj = evolve(state, 5.0, StepController(grad_stop=60.0),
-                             DiagnosticHooks(sample_every_steps=3))
+        final, traj = run_on_path(observer_path, state, 5.0, StepController(grad_stop=60.0),
+                                  DiagnosticHooks(sample_every_steps=3))
         steps, samples = final.step_count, len(traj.columns["t"])
         assert steps > 50 and samples == len(in_sample)
         return steps, samples, complex_calls(), in_sample
 
-    def test_transform_budget(self, gs_1d, fft_calls, monkeypatch):
+    def test_transform_budget(self, gs_1d, fft_calls, monkeypatch, observer_path):
         # E = 0: two transforms per step, one per sample, and the initial
         # spectrum; the observers reuse the kernel's spectrum
         steps, samples, calls, in_sample = self.count_transforms(
-            small_collapse_state(gs_1d), fft_calls, monkeypatch
+            small_collapse_state(gs_1d), fft_calls, monkeypatch, observer_path
         )
         assert calls <= 2 * steps + samples + 2
         assert in_sample == [0] * samples
 
-    def test_transform_budget_in_frame(self, gs_1d, fft_calls, monkeypatch):
+    def test_transform_budget_in_frame(self, gs_1d, fft_calls, monkeypatch,
+                                       observer_path):
         # E != 0 in the frame: a sample maps out with one inverse transform
         # and takes its power with one forward transform; the final state is
         # the final sample's field, so it costs nothing more
         steps, samples, calls, in_sample = self.count_transforms(
-            small_collapse_state(gs_1d, E=0.3), fft_calls, monkeypatch
+            small_collapse_state(gs_1d, E=0.3), fft_calls, monkeypatch, observer_path
         )
         assert calls <= 2 * steps + 2 * samples + 1
         assert in_sample == [1] * samples
@@ -553,6 +594,118 @@ class TestFusedKernel:
                 checked += 1
         assert checked == len(traj.snapshots) - 1  # all but the initial one
         assert rel_l2(final.field, state.field.data) < 1e-9
+
+
+def fingerprint(final, traj):
+    """Everything one evolve call returns, as bytes (nan equals nan)."""
+    def bits(*values):
+        return np.array(values, dtype=np.float64).tobytes()
+
+    return {
+        "columns": {name: values.tobytes() for name, values in traj.columns.items()},
+        "snapshots": [(bits(s.t, s.grad_norm), s.field.data.tobytes())
+                      for s in traj.snapshots],
+        "warnings": [(code, bits(t)) for code, t in traj.warnings],
+        "stop": (traj.stop_reason, bits(traj.stop_value, traj.stop_threshold)),
+        "final": (bits(final.t), final.step_count, final.field.data.tobytes()),
+    }
+
+
+class TestObserverOverlap:
+    """On the overlapped path evolve records what it records inline, bit for
+    bit, and its worker thread never outlives the call."""
+
+    @staticmethod
+    def both_paths(monkeypatch, *args):
+        runs = {}
+        for path in ("inline", "overlap"):
+            use_path(monkeypatch, path)
+            runs[path] = fingerprint(*run_on_path(path, *args))
+        return runs["inline"], runs["overlap"]
+
+    @pytest.mark.parametrize(
+        "E, backend",
+        [(0.0, Backend.GAUGE_FRAME), (0.3, Backend.GAUGE_FRAME),
+         (0.3, Backend.DIRECT_POTENTIAL)],
+        ids=["E0", "gauge", "direct"],
+    )
+    @pytest.mark.parametrize(
+        "hooks",
+        [DiagnosticHooks(sample_every_steps=1, snapshot_grad_factor=1.2),
+         DiagnosticHooks(sample_every_steps=7, snapshot_every_steps=10)],
+        ids=["every-step-grad-snapshots", "every-7th-step-snapshots"],
+    )
+    def test_overlap_records_the_inline_bits(self, gs_1d, monkeypatch, E, backend, hooks):
+        state = dataclasses.replace(small_collapse_state(gs_1d, E), backend=backend)
+        inline, overlap = self.both_paths(
+            monkeypatch, state, 5.0, StepController(grad_stop=60.0), hooks
+        )
+        assert len(inline["snapshots"]) > 5
+        if E and backend is Backend.GAUGE_FRAME:  # the frame run reaches the seam
+            assert {code for code, _ in inline["warnings"]} == {
+                "seam_contamination", "boundary_mass"}
+        assert overlap == inline
+
+    @pytest.mark.parametrize("reason", [StopReason.DIVERGED, StopReason.SPECTRAL_FILL],
+                             ids=lambda reason: reason.value)
+    def test_stop_before_the_first_step(self, monkeypatch, reason):
+        # only the final sample exists. The diverged field overflows in the
+        # sample, which the caller's np.errstate silences on the worker too.
+        grid = GridSpec.create(1, 20.0, 512)
+        if reason is StopReason.DIVERGED:
+            state = make_state(grid, 1e160 * np.exp(-(grid.axis_coordinates(0) ** 2)))
+        else:
+            state = make_state(grid, modulated_gaussian(grid))
+        ctrl = StepController(spectral_fill_max=0.5)
+        hooks = DiagnosticHooks(snapshot_every_steps=3)
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error", RuntimeWarning)
+            inline, overlap = self.both_paths(monkeypatch, state, 5.0, ctrl, hooks)
+        assert inline["stop"][0] is reason
+        assert inline["final"][1] == 0 and len(inline["columns"]["t"]) == 8
+        assert len(inline["snapshots"]) == 1
+        assert overlap == inline
+
+    def test_short_switch_interval_keeps_the_bits(self, gs_1d, monkeypatch):
+        # the threads switch every microsecond, so a job that read an array
+        # the next step writes, or a buffer the last job still uses, shows
+        state = small_collapse_state(gs_1d, E=0.3)
+        hooks = DiagnosticHooks(snapshot_grad_factor=1.2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            inline, overlap = self.both_paths(
+                monkeypatch, state, 5.0, StepController(grad_stop=60.0), hooks
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert overlap == inline
+
+    def test_no_thread_outlives_the_call(self, gs_1d, monkeypatch):
+        use_path(monkeypatch, "overlap")
+        before = threading.active_count()
+        run_on_path("overlap", small_collapse_state(gs_1d), 5.0,
+                    StepController(grad_stop=60.0), DiagnosticHooks())
+        assert threading.active_count() == before
+
+    def test_observer_error_reaches_the_caller(self, gs_1d, monkeypatch):
+        use_path(monkeypatch, "overlap")
+        error, threads, real_sample = RuntimeError("observer failed"), [], diagnostics.sample
+
+        def failing_sample(*args, **kwargs):
+            threads.append(threading.get_ident())
+            if len(threads) == 3:  # while the run goes on
+                raise error
+            return real_sample(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "sample", failing_sample)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            evolve(small_collapse_state(gs_1d), 5.0, StepController(grad_stop=60.0),
+                   DiagnosticHooks())
+        assert raised.value is error
+        assert len(threads) == 3 and threading.get_ident() not in threads
+        assert threading.active_count() == before
 
 
 class TestPhysicalStates:

@@ -105,7 +105,7 @@ class TestStepMass:
         state = SimState(t=0.0, field=Field(grid, data), params=params, backend=backend)
         kernel = _Stepper(state)
         kernel.step(dt)
-        mass = l2_norm_sq(kernel.observed(dt)[0])
+        mass = l2_norm_sq(kernel.physical_field(dt, kernel.settle()))
         expected = l2_norm_sq(state.field) * np.exp(-2.0 * a * dt)
         assert mass == pytest.approx(expected, rel=1e-14)
 
